@@ -22,6 +22,7 @@
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "topology/valley_free.h"
+#include "util/scheduler.h"
 #include "workload/outages.h"
 #include "workload/sim_world.h"
 
@@ -206,6 +207,35 @@ void BM_ValleyFreeReachability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ValleyFreeReachability);
+
+// Scheduler dispatch alone: schedule N closures shaped like the engine's
+// MRAI flush (a pointer plus two 32-bit keys, inside std::function's inline
+// buffer) and run them all. Arg 1 = 1 adds 50% cancel churn: every other
+// event is cancelled before the run, as fleet watchdogs and superseded
+// timers do, so slot recycling and tombstone compaction are in the timing.
+void BM_SchedulerAtRun(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const bool churn = state.range(1) != 0;
+  std::uint64_t sink = 0;
+  std::vector<std::uint64_t> ids(n);
+  for (auto _ : state) {
+    util::Scheduler sched;
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const std::uint32_t key = i;
+      const std::uint32_t other = i * 7;
+      ids[i] = sched.at(1e-3 * (i % 1024), [&sink, key, other] {
+        sink += key ^ other;
+      });
+    }
+    if (churn) {
+      for (std::uint32_t i = 0; i < n; i += 2) sched.cancel(ids[i]);
+    }
+    benchmark::DoNotOptimize(sched.run());
+  }
+  benchmark::DoNotOptimize(sink);
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_SchedulerAtRun)->Args({100000, 0})->Args({100000, 1});
 
 // Single-speaker hot paths, isolated from the scheduler: one transit AS
 // with two customer neighbors alternately announcing the same prefix. The

@@ -43,10 +43,6 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
 
   as_ids_ = graph.as_ids();  // sorted: index order == AS-id order
   const std::size_t n = as_ids_.size();
-  speakers_.reserve(n);
-  for (const AsId id : as_ids_) {
-    speakers_.emplace_back(id, graph, SpeakerConfig{});
-  }
   if (n != 0) {
     min_id_ = as_ids_.front();
     const std::uint64_t span =
@@ -66,26 +62,16 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
       }
     }
   }
-  // Dense directed-session layout for the flat MRAI tables: each AS's
-  // sorted neighbor ids, concatenated, with prefix-sum offsets.
-  sess_base_.assign(n + 1, 0);
+  build_sessions(graph);
+  speakers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    sess_base_[i + 1] =
-        sess_base_[i] +
-        static_cast<std::uint32_t>(graph.neighbors(as_ids_[i]).size());
-  }
-  sess_nbr_.resize(sess_base_[n]);
-  for (std::size_t i = 0; i < n; ++i) {
-    AsId* seg = sess_nbr_.data() + sess_base_[i];
-    std::size_t k = 0;
-    for (const auto& nb : graph.neighbors(as_ids_[i])) seg[k++] = nb.id;
-    std::sort(seg, seg + k);
+    const std::uint32_t base = sess_base_[i];
+    const SessionRow row{sess_peer_.data() + base, sess_rel_.data() + base,
+                         sess_base_[i + 1] - base};
+    speakers_.emplace_back(as_ids_[i], graph, row, prefixes_);
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
-  // Per-receiver shards so phase-1 workers never share a map; only fault
-  // runs can reorder deliveries, so only they pay the allocation.
-  if (faults_->enabled()) delivered_seq_.resize(n);
   work_slot_.assign(n, kNoIndex);
 
   world_threads_ =
@@ -174,97 +160,147 @@ void BgpEngine::remove_observer(RouteObserver* observer) {
                    observers_.end());
 }
 
+void BgpEngine::build_sessions(const topo::AsGraph& graph) {
+  const std::size_t n = as_ids_.size();
+  std::vector<const std::vector<topo::Neighbor>*> adj(n);
+  sess_base_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    adj[i] = &graph.neighbors(as_ids_[i]);
+    sess_base_[i + 1] =
+        sess_base_[i] + static_cast<std::uint32_t>(adj[i]->size());
+  }
+  const std::size_t total = sess_base_[n];
+  sess_peer_.resize(total);
+  sess_rel_.resize(total);
+  sess_peer_slot_.resize(total);
+  sess_export_.resize(total);
+  // Links are symmetric (AsGraph::add_link records both directions), so
+  // pushing every AS, in ascending index order, into each neighbor's row
+  // fills every row already sorted by id — no per-row sort. Meanwhile each
+  // export-order entry (row i, graph position k, neighbor j) notes the
+  // session j -> i, whose peer slot below is j's slot in row i.
+  std::vector<std::uint32_t> fill(n, 0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    std::uint32_t k = sess_base_[i];
+    for (const topo::Neighbor& nb : *adj[i]) {
+      const std::uint32_t j = checked_index(nb.id);
+      const std::uint32_t s = sess_base_[j] + fill[j]++;
+      sess_peer_[s] = as_ids_[i];
+      sess_rel_[s] = topo::reverse(nb.rel);  // what i is to j
+      sess_export_[k++] = s;
+    }
+  }
+  // The same ascending sweep over the sorted rows yields each AS's slot in
+  // its neighbor's row: when row j is visited, neighbor i's row holds
+  // exactly the fill[i] neighbors with ids below j.
+  std::fill(fill.begin(), fill.end(), 0);
+  for (std::uint32_t j = 0; j < n; ++j) {
+    for (std::uint32_t s = sess_base_[j]; s < sess_base_[j + 1]; ++s) {
+      sess_peer_slot_[s] = fill[checked_index(sess_peer_[s])]++;
+    }
+  }
+  for (std::uint32_t& e : sess_export_) e = sess_peer_slot_[e];
+}
+
+std::uint32_t BgpEngine::session_owner(std::uint32_t session) const noexcept {
+  const auto it =
+      std::upper_bound(sess_base_.begin(), sess_base_.end(), session);
+  return static_cast<std::uint32_t>(it - sess_base_.begin()) - 1;
+}
+
 void BgpEngine::originate(AsId as, const Prefix& prefix, OriginPolicy policy) {
-  speaker(as).set_origin_policy(prefix, std::move(policy));
-  schedule_exports(as, prefix);
+  const std::uint32_t idx = checked_index(as);
+  const PrefixId id = prefixes_.intern(prefix);
+  speakers_[idx].set_origin_policy(id, std::move(policy));
+  schedule_exports(idx, id);
 }
 
 void BgpEngine::withdraw(AsId as, const Prefix& prefix) {
-  speaker(as).clear_origin_policy(prefix);
-  schedule_exports(as, prefix);
+  const std::uint32_t idx = checked_index(as);
+  const PrefixId id = prefixes_.intern(prefix);
+  speakers_[idx].clear_origin_policy(id);
+  schedule_exports(idx, id);
 }
 
-void BgpEngine::schedule_exports(AsId from, const Prefix& prefix) {
-  for (const auto& n : graph_->neighbors(from)) {
-    try_send(from, n.id, prefix);
+void BgpEngine::schedule_exports(std::uint32_t from, PrefixId prefix) {
+  const std::uint32_t base = sess_base_[from];
+  const std::uint32_t end = sess_base_[from + 1];
+  for (std::uint32_t k = base; k < end; ++k) {
+    try_send(from, base + sess_export_[k], prefix);
   }
 }
 
-double BgpEngine::mrai_for(AsId from) {
-  const double base = speaker(from).config().mrai_seconds >= 0.0
-                          ? speaker(from).config().mrai_seconds
-                          : cfg_.default_mrai;
+double BgpEngine::mrai_for(std::uint32_t from) {
+  const double own = speakers_[from].config().mrai_seconds;
+  const double base = own >= 0.0 ? own : cfg_.default_mrai;
   const double lo = base * (1.0 - cfg_.mrai_jitter_frac);
   return rng_.uniform(lo, base);
 }
 
-std::uint32_t BgpEngine::session_index(AsId from, AsId to) const {
-  const std::uint32_t fi = checked_index(from);
-  const AsId* lo = sess_nbr_.data() + sess_base_[fi];
-  const AsId* hi = sess_nbr_.data() + sess_base_[fi + 1];
-  const AsId* it = std::lower_bound(lo, hi, to);
-  if (it == hi || *it != to) {
-    throw std::out_of_range("no session " + std::to_string(from) + "->" +
-                            std::to_string(to));
-  }
-  return sess_base_[fi] + static_cast<std::uint32_t>(it - lo);
-}
-
-BgpEngine::MraiState& BgpEngine::mrai_state(AsId from, AsId to,
-                                            const Prefix& prefix) {
-  const std::uint32_t idx = session_index(from, to);
+BgpEngine::MraiState& BgpEngine::mrai_state(std::uint32_t session,
+                                            PrefixId prefix) {
+  // Speakers may intern prefixes through their own Prefix-keyed API, so the
+  // outer table grows on demand rather than at intern time.
+  if (prefix >= mrai_.size()) mrai_.resize(prefix + 1);
   std::vector<MraiState>& table = mrai_[prefix];
-  if (table.empty()) table.resize(sess_nbr_.size());
-  return table[idx];
+  if (table.empty()) table.resize(sess_peer_.size());
+  return table[session];
 }
 
-void BgpEngine::try_send(AsId from, AsId to, const Prefix& prefix) {
-  auto& mrai = mrai_state(from, to, prefix);
+void BgpEngine::try_send(std::uint32_t from, std::uint32_t session,
+                         PrefixId prefix) {
+  auto& mrai = mrai_state(session, prefix);
   const double now = sched_->now();
   if (now >= mrai.ready_at) {
-    send_now(from, to, prefix, mrai);
+    send_now(from, session, prefix, mrai);
     return;
   }
   if (!mrai.flush_scheduled) {
     mrai.flush_scheduled = true;
     c_mrai_deferrals_->inc();
-    trace_->record(now, obs::TraceKind::kMraiDefer, from, to,
-                   mrai.ready_at - now);
-    sched_->at(mrai.ready_at, [this, from, to, prefix] {
-      auto& m = mrai_state(from, to, prefix);
+    trace_->record(now, obs::TraceKind::kMraiDefer, as_ids_[from],
+                   sess_peer_[session], mrai.ready_at - now);
+    // Two 32-bit keys and `this`: fits std::function's inline buffer.
+    sched_->at(mrai.ready_at, [this, session, prefix] {
+      auto& m = mrai_state(session, prefix);
       m.flush_scheduled = false;
-      send_now(from, to, prefix, m);
+      send_now(session_owner(session), session, prefix, m);
     });
   }
 }
 
-void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
-                         MraiState& mrai) {
+void BgpEngine::send_now(std::uint32_t from_idx, std::uint32_t session,
+                         PrefixId prefix, MraiState& mrai) {
+  const AsId from = as_ids_[from_idx];
+  const AsId to = sess_peer_[session];
   // Fault plane: a reset session sends nothing. Retry once it is back up —
   // the diff against Adj-RIB-Out then sends whatever is current, so the
   // control plane stays eventually consistent through the outage.
   if (faults_->enabled() && !faults_->session_up(from, to, sched_->now())) {
     faults_->note_session_hit(from, to, sched_->now());
     const double up = faults_->session_restored_at(from, to, sched_->now());
-    sched_->at(up + 1e-3,
-               [this, from, to, prefix] { try_send(from, to, prefix); });
+    sched_->at(up + 1e-3, [this, session, prefix] {
+      try_send(session_owner(session), session, prefix);
+    });
     return;
   }
-  const std::uint32_t from_idx = checked_index(from);
   BgpSpeaker& sender = speakers_[from_idx];
-  const auto current = sender.export_path(prefix, to);
-  const auto state = sender.adj_out_state(prefix, to);
+  const std::uint32_t slot = session - sess_base_[from_idx];
+  const auto current = sender.export_path(prefix, slot);
+  const auto state = sender.adj_out_state(prefix, slot);
   const bool had_advertised = state == BgpSpeaker::AdjOutState::kAdvertised;
   if (state == BgpSpeaker::AdjOutState::kNeverAdvertised) {
     if (!current) return;  // never advertised, nothing now
-  } else if (sender.adj_out_unit(prefix, to) == current) {
+  } else if (sender.adj_out_unit(prefix, slot) == current) {
     return;  // nothing new to say
   }
 
   UpdateMessage msg;
   msg.from = from;
   msg.to = to;
-  msg.prefix = prefix;
+  msg.prefix = prefixes_.prefix(prefix);
+  msg.prefix_id = prefix;
+  msg.to_slot = sess_peer_slot_[session];
   msg.seq = ++mrai.next_seq;
   if (current) {
     msg.type = MsgType::kAnnounce;
@@ -273,7 +309,7 @@ void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
     msg.avoid_hint = current->avoid_hint;
   } else {
     if (!had_advertised) {  // adj-out holds an explicit "withdrawn" marker
-      sender.record_advertised(prefix, to, std::nullopt);
+      sender.record_advertised(prefix, slot, std::nullopt);
       return;
     }
     msg.type = MsgType::kWithdraw;
@@ -282,7 +318,7 @@ void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
   // must leave adj-out untouched, or the retransmit scheduled here would see
   // "already advertised" and never re-send.
   if (faults_->enabled() && faults_->lose_update(from, to, sched_->now())) {
-    mrai.ready_at = sched_->now() + mrai_for(from);
+    mrai.ready_at = sched_->now() + mrai_for(from_idx);
     ++total_messages_;
     ++sent_by_[from_idx];
     c_updates_sent_->inc();
@@ -292,11 +328,13 @@ void BgpEngine::send_now(AsId from, AsId to, const Prefix& prefix,
     c_updates_lost_->inc();
     trace_->record(sched_->now(), obs::TraceKind::kUpdateLost, from, to);
     sched_->after(faults_->config().update_retransmit_seconds,
-                  [this, from, to, prefix] { try_send(from, to, prefix); });
+                  [this, session, prefix] {
+                    try_send(session_owner(session), session, prefix);
+                  });
     return;
   }
-  sender.record_advertised(prefix, to, current);
-  mrai.ready_at = sched_->now() + mrai_for(from);
+  sender.record_advertised(prefix, slot, current);
+  mrai.ready_at = sched_->now() + mrai_for(from_idx);
 
   ++total_messages_;
   ++sent_by_[from_idx];
@@ -356,7 +394,6 @@ void BgpEngine::process_receiver(ReceiverWork& w,
                                  double now) {
   BgpSpeaker& receiver = speakers_[w.receiver];
   const bool faults_on = faults_->enabled();
-  auto* seqs = faults_on ? &delivered_seq_[w.receiver] : nullptr;
   // With a single message there is nothing to net out: the frontier outcome
   // is exactly the per-event outcome, so skip the best-route snapshot and
   // the post-loop value comparison (the dominant case in sparse phases of
@@ -383,30 +420,33 @@ void BgpEngine::process_receiver(ReceiverWork& w,
     // be applied after (or instead of) the fresh diff and pin the receiver
     // to an outdated path until the next unrelated update. Sequence numbers
     // are per-(session, prefix) and monotone at the sender, so anything at
-    // or below the last applied seq is superseded.
+    // or below the last applied seq is superseded. The applied seq lives in
+    // the receiver's own row (the reverse session), so this stays
+    // thread-confined.
     if (faults_on) {
-      const SessionPrefixKey key{
-          (static_cast<std::uint64_t>(msg.from) << 32) | msg.to, msg.prefix};
-      std::uint64_t& applied = (*seqs)[key];
+      std::uint32_t& applied =
+          mrai_[msg.prefix_id][sess_base_[w.receiver] + msg.to_slot]
+              .applied_seq;
       if (msg.seq <= applied) {
         out.kind = MsgOutcome::kStale;
         continue;
       }
-      applied = msg.seq;
+      applied = static_cast<std::uint32_t>(msg.seq);
     }
     out.kind = MsgOutcome::kDelivered;
     if (single) {
-      out.best_changed = receiver.process_update(msg, now);
+      out.best_changed =
+          receiver.process_update(msg, msg.prefix_id, msg.to_slot, now);
       if (out.best_changed) {
         PrefixTouch touch;
-        touch.prefix = msg.prefix;
+        touch.prefix = msg.prefix_id;
         touch.any_changed = true;
         touch.net_changed = true;
         w.prefixes.push_back(std::move(touch));
       }
       if (receiver.config().damping_enabled) {
         out.damping_delay =
-            receiver.damping_reuse_delay(msg.prefix, msg.from, now);
+            receiver.damping_reuse_delay(msg.prefix_id, msg.to_slot, now);
       }
       continue;
     }
@@ -414,25 +454,27 @@ void BgpEngine::process_receiver(ReceiverWork& w,
     // merge phase can detect *net* route changes across the whole frontier.
     std::size_t touch_idx = w.prefixes.size();
     for (std::size_t t = 0; t < w.prefixes.size(); ++t) {
-      if (w.prefixes[t].prefix == msg.prefix) {
+      if (w.prefixes[t].prefix == msg.prefix_id) {
         touch_idx = t;
         break;
       }
     }
     if (touch_idx == w.prefixes.size()) {
       PrefixTouch touch;
-      touch.prefix = msg.prefix;
-      if (const Route* best = receiver.best_route(msg.prefix)) {
+      touch.prefix = msg.prefix_id;
+      if (const Route* best = receiver.best_route(msg.prefix_id)) {
         touch.before = *best;
       }
       w.prefixes.push_back(std::move(touch));
     }
-    out.best_changed = receiver.process_update(msg, now);
+    out.best_changed =
+        receiver.process_update(msg, msg.prefix_id, msg.to_slot, now);
     if (out.best_changed) w.prefixes[touch_idx].any_changed = true;
     // Flap damping: if this session is suppressed, the merge phase arranges
     // a re-evaluation once the penalty decays to the reuse threshold.
     if (receiver.config().damping_enabled) {
-      out.damping_delay = receiver.damping_reuse_delay(msg.prefix, msg.from, now);
+      out.damping_delay =
+          receiver.damping_reuse_delay(msg.prefix_id, msg.to_slot, now);
     }
   }
   if (single) return;  // net_changed already decided above
@@ -517,7 +559,6 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   std::size_t terminal = 0;
   for (const std::uint32_t slot : work_order_) {
     ReceiverWork& w = work_[slot];
-    const AsId rid = as_ids_[w.receiver];
     for (std::size_t k = 0; k < w.msg_indices.size(); ++k) {
       UpdateMessage& msg = msgs[w.msg_indices[k]];
       const MsgOutcome& out = w.outcomes[k];
@@ -544,16 +585,17 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
             trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
           }
           if (out.damping_delay) {
-            const AsId to = msg.to;
-            const AsId from = msg.from;
-            const Prefix prefix = msg.prefix;
-            sched_->after(*out.damping_delay + 0.001, [this, to, from, prefix] {
-              BgpSpeaker& spk = speaker(to);
-              if (spk.recheck_damping(prefix, from, sched_->now())) {
-                ++best_changes_[checked_index(to)];
+            const std::uint32_t to = w.receiver;
+            const std::uint32_t from_slot = msg.to_slot;
+            const PrefixId prefix = msg.prefix_id;
+            sched_->after(*out.damping_delay + 0.001,
+                          [this, to, from_slot, prefix] {
+              if (speakers_[to].recheck_damping(prefix, from_slot,
+                                                sched_->now())) {
+                ++best_changes_[to];
                 c_best_path_changes_->inc();
                 trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
-                               to);
+                               as_ids_[to]);
                 notify(to, prefix);
                 schedule_exports(to, prefix);
               }
@@ -569,8 +611,8 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
     // produces no spurious route event and no export churn.
     for (const PrefixTouch& touch : w.prefixes) {
       if (touch.net_changed) {
-        notify(rid, touch.prefix);
-        schedule_exports(rid, touch.prefix);
+        notify(w.receiver, touch.prefix);
+        schedule_exports(w.receiver, touch.prefix);
       }
     }
     work_slot_[w.receiver] = kNoIndex;
@@ -582,13 +624,13 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   msg_pool_.release(std::move(msgs));
 }
 
-void BgpEngine::notify(AsId as, const Prefix& prefix) {
+void BgpEngine::notify(std::uint32_t as, PrefixId prefix) {
   if (observers_.empty()) return;
   RouteEvent event;
   event.time = sched_->now();
-  event.as = as;
-  event.prefix = prefix;
-  if (const Route* best = speaker(as).best_route(prefix)) {
+  event.as = as_ids_[as];
+  event.prefix = prefixes_.prefix(prefix);
+  if (const Route* best = speakers_[as].best_route(prefix)) {
     event.best = *best;
   }
   for (RouteObserver* obs : observers_) obs->on_route_change(event);
@@ -617,9 +659,9 @@ void BgpEngine::reset_counters() {
 }
 
 void BgpEngine::reexport_all() {
-  for (std::size_t i = 0; i < speakers_.size(); ++i) {
+  for (std::uint32_t i = 0; i < speakers_.size(); ++i) {
     for (const Prefix& prefix : speakers_[i].known_prefixes()) {
-      schedule_exports(as_ids_[i], prefix);
+      schedule_exports(i, prefixes_.find(prefix));
     }
   }
 }
@@ -633,11 +675,17 @@ BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
     t.adj_out_slots += m.adj_out_slots;
     t.prefix_states += m.prefixes;
   }
-  // Engine-side per-session state: flat MRAI tables and the session layout.
+  // Engine-side state: the session CSR, the prefix interner and the flat
+  // MRAI tables.
   t.bytes += sess_base_.capacity() * sizeof(std::uint32_t) +
-             sess_nbr_.capacity() * sizeof(AsId);
-  for (const auto& [p, table] : mrai_) {
-    t.bytes += sizeof(p) + table.capacity() * sizeof(MraiState) + 32;
+             sess_peer_.capacity() * sizeof(AsId) +
+             sess_rel_.capacity() * sizeof(topo::Rel) +
+             sess_peer_slot_.capacity() * sizeof(std::uint32_t) +
+             sess_export_.capacity() * sizeof(std::uint32_t);
+  t.bytes += prefixes_.memory_bytes();
+  t.bytes += mrai_.capacity() * sizeof(mrai_[0]);
+  for (const auto& table : mrai_) {
+    t.bytes += table.capacity() * sizeof(MraiState);
   }
   t.bytes += msg_pool_.spare_bytes();
   return t;

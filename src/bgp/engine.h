@@ -24,6 +24,18 @@
 // byte-identical for any LG_WORLD_THREADS value, while the decision-process
 // work — the dominant cost on large topologies — scales across cores. See
 // DESIGN.md "Parallel intra-world convergence".
+//
+// Dense keys on the hot path. Every prefix is interned once into a PrefixId
+// (originate/withdraw), and every directed session has a dense index in a
+// compressed-sparse-row layout over the AS indices (the session CSR). Each
+// AS's row lists its neighbors in ascending id order, so a session's offset
+// in its row is the neighbor *slot* every speaker RIB table is indexed by;
+// speakers read their row instead of keeping their own copy. Per-(session,
+// prefix) MRAI state is one flat vector per PrefixId indexed by session.
+// Updates carry their PrefixId and the receiver's slot, exports walk a
+// per-AS list of slots in graph neighbor order (the order that fixes the
+// RNG draws), and MRAI flush closures capture only (session, PrefixId), so
+// they fit std::function's inline buffer.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +49,6 @@
 #include "mem/pool.h"
 #include "obs/span.h"
 #include "topology/as_graph.h"
-#include "util/hashing.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -192,31 +203,19 @@ class BgpEngine {
   // replaced wholesale; the same quiescence precondition applies.
   void load_snapshot(util::BinReader& r);
 
-  // Public so the hash-quality regression tests can exercise it directly.
-  struct SessionPrefixKey {
-    std::uint64_t session;  // (from << 32) | to
-    Prefix prefix;
-    friend bool operator==(const SessionPrefixKey&,
-                           const SessionPrefixKey&) = default;
-  };
-  struct SessionPrefixKeyHash {
-    std::size_t operator()(const SessionPrefixKey& k) const noexcept {
-      // hash_combine, not XOR: the MRAI map holds one entry per (session,
-      // prefix) and a plain XOR of the two field hashes cancels correlated
-      // bits (any (session ^ d, prefix') pair with matching prefix-hash
-      // delta d collides deterministically).
-      return util::hash_combine(std::hash<std::uint64_t>{}(k.session),
-                                topo::PrefixHash{}(k.prefix));
-    }
-  };
-
  private:
+  // Per-(directed session, prefix) state, indexed by the session's CSR
+  // index in the prefix's flat table.
   struct MraiState {
     double ready_at = 0.0;
+    // Monotone send counter stamped into every UpdateMessage on this
+    // session, so delivery can reject superseded in-flight updates.
+    std::uint32_t next_seq = 0;
+    // Highest seq applied from the peer on the reverse session. Written
+    // only by the owning AS's phase-1 worker (the entry is in its own row)
+    // and only when the fault plane is on, the one source of reordering.
+    std::uint32_t applied_seq = 0;
     bool flush_scheduled = false;
-    // Monotone per-(session, prefix) send counter stamped into every
-    // UpdateMessage, so delivery can reject superseded in-flight updates.
-    std::uint64_t next_seq = 0;
   };
 
   // ---- Frontier pump plumbing ----
@@ -231,7 +230,7 @@ class BgpEngine {
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
   struct PrefixTouch {
-    Prefix prefix;
+    PrefixId prefix = kNoPrefixId;
     std::optional<Route> before;
     bool any_changed = false;
     bool net_changed = false;
@@ -255,14 +254,19 @@ class BgpEngine {
   std::uint32_t index_of(AsId id) const noexcept;
   std::uint32_t checked_index(AsId id) const;  // throws std::out_of_range
 
-  void schedule_exports(AsId from, const Prefix& prefix);
-  void try_send(AsId from, AsId to, const Prefix& prefix);
-  void send_now(AsId from, AsId to, const Prefix& prefix, MraiState& mrai);
-  // Dense directed-session index: rank of `to` within `from`'s sorted
-  // adjacency, offset by the per-AS prefix sum — the key into the flat
-  // per-prefix MRAI tables below. Throws for unknown sessions.
-  std::uint32_t session_index(AsId from, AsId to) const;
-  MraiState& mrai_state(AsId from, AsId to, const Prefix& prefix);
+  // Build the session CSR (sess_*) from the graph.
+  void build_sessions(const topo::AsGraph& graph);
+  // The AS index owning directed session `session` (binary search over
+  // sess_base_; only the rare MRAI-flush and fault-retry paths need it).
+  std::uint32_t session_owner(std::uint32_t session) const noexcept;
+
+  // Export `prefix` from AS index `from` to every neighbor, in graph
+  // neighbor order.
+  void schedule_exports(std::uint32_t from, PrefixId prefix);
+  void try_send(std::uint32_t from, std::uint32_t session, PrefixId prefix);
+  void send_now(std::uint32_t from, std::uint32_t session, PrefixId prefix,
+                MraiState& mrai);
+  MraiState& mrai_state(std::uint32_t session, PrefixId prefix);
   // Route the message into its quantum bucket (scheduling the bucket's pump
   // tick if this is the bucket's first message).
   void enqueue_delivery(double due, UpdateMessage msg);
@@ -275,14 +279,14 @@ class BgpEngine {
                         const std::vector<UpdateMessage>& msgs, double now);
   // Lazily built LG_WORLD_THREADS pool (nullptr when world_threads_ == 1).
   util::ThreadPool* world_pool();
-  void notify(AsId as, const Prefix& prefix);
+  void notify(std::uint32_t as, PrefixId prefix);
   // Convergence-pump spans: a bgp.pump span covers each maximal period with
   // at least one update in flight (the 0 -> 1 transition opens it, the
   // drain back to 0 closes it with an updates_delivered delta). With spans
   // disabled this is an integer inc/dec plus one branch per message.
   void delivery_scheduled();
   void delivery_done();
-  double mrai_for(AsId from);
+  double mrai_for(std::uint32_t from);
   double link_delay() { return rng_.uniform(cfg_.link_delay_min, cfg_.link_delay_max); }
 
   const topo::AsGraph* graph_;
@@ -309,23 +313,25 @@ class BgpEngine {
   std::unordered_map<AsId, std::uint32_t> sparse_index_;  // huge-span fallback
   std::vector<BgpSpeaker> speakers_;
 
-  // Per-(session, prefix) MRAI state, stored as one flat vector per prefix
-  // indexed by the dense directed-session index (session_index). At
-  // Internet scale this replaces millions of hash-map nodes with a handful
-  // of contiguous tables: O(1) access after one prefix lookup, no rehash,
-  // 24 bytes/session. Directed sessions are laid out per sending AS via
-  // sess_base_ (prefix sums of degrees) over sess_nbr_ (each AS's sorted
-  // neighbor ids, concatenated).
-  std::vector<std::uint32_t> sess_base_;  // size n+1
-  std::vector<AsId> sess_nbr_;            // size sess_base_.back()
-  std::unordered_map<Prefix, std::vector<MraiState>, topo::PrefixHash> mrai_;
-  // Highest sequence number applied per (session, prefix), sharded by the
-  // *receiving* AS index so phase-1 workers touch disjoint maps; only
-  // allocated and consulted when the fault plane is enabled (the only source
-  // of delivery reordering), so fault-free runs never touch it.
-  std::vector<std::unordered_map<SessionPrefixKey, std::uint64_t,
-                                 SessionPrefixKeyHash>>
-      delivered_seq_;
+  // Directed-session CSR over AS indices: row i spans
+  // [sess_base_[i], sess_base_[i+1]) and lists AS i's neighbors in ascending
+  // id order, so (session - sess_base_[i]) is the neighbor's slot in every
+  // speaker RIB table. Speakers read their row through a SessionRow.
+  std::vector<std::uint32_t> sess_base_;   // size n+1
+  std::vector<AsId> sess_peer_;            // neighbor id per session
+  std::vector<topo::Rel> sess_rel_;        // what the neighbor is to the AS
+  // The AS's own slot in the neighbor's row: the receiver's slot that
+  // every update sent on the session carries.
+  std::vector<std::uint32_t> sess_peer_slot_;
+  // Per row, the slots in graph neighbor order: the export order, which
+  // fixes the order of MRAI-jitter and link-delay draws.
+  std::vector<std::uint32_t> sess_export_;
+  PrefixInterner prefixes_;
+  // Per-(session, prefix) MRAI state: one flat table per PrefixId, indexed
+  // by session and allocated on the prefix's first send. At Internet scale
+  // this is a handful of contiguous tables instead of millions of hash
+  // nodes: 24 bytes/session, no hashing.
+  std::vector<std::vector<MraiState>> mrai_;
   std::vector<RouteObserver*> observers_;
 
   // Frontier buckets keyed by quantum index (bucket time = key * quantum).

@@ -1,11 +1,11 @@
 // BGP engine checkpoint/restore (see engine.h / speaker.h declarations).
 //
 // Format: one engine section (tag "BGEN") holding RNG state, counters, MRAI
-// tables, and the per-speaker sections (tag "BSPK") in AS-index order. All
-// map-backed state is serialized in sorted-key order — unordered_map
-// iteration order is a function of the allocator and hash seed, and a
-// snapshot must be byte-identical across processes. Shared path/community
-// buffers go through the SnapshotWriterPools/SnapshotReaderPools intern
+// tables, and the per-speaker sections (tag "BSPK") in AS-index order.
+// Per-prefix state is keyed by Prefix and written in ascending Prefix order,
+// never by PrefixId: ids are engine-internal and a restoring engine may have
+// interned its prefixes in a different order. Shared path/community buffers
+// go through the SnapshotWriterPools/SnapshotReaderPools intern
 // (bgp/snapshot.h) so sharing survives the round trip.
 #include <algorithm>
 #include <stdexcept>
@@ -25,7 +25,10 @@ constexpr std::uint32_t kEngineTag = 0x4e454742;   // "BGEN"
 constexpr std::uint32_t kSpeakerTag = 0x4b505342;  // "BSPK"
 // v2: SpeakerConfig grew the adversarial import policies (path_length_limit,
 // peerlock_filter) and their rejection counters.
-constexpr std::uint32_t kVersion = 2;
+// v3: dense hot path. The Adj-RIB-In learned-from byte is gone (derived from
+// the session's relationship), damping state is keyed by neighbor slot, and
+// the fault plane's applied-seq maps are folded into the MRAI tables.
+constexpr std::uint32_t kVersion = 3;
 
 void write_prefix(util::BinWriter& w, const Prefix& p) {
   w.u32(p.addr());
@@ -148,21 +151,21 @@ void BgpSpeaker::save_snapshot(util::BinWriter& w,
   w.b(cfg_.peerlock_filter);
 
   // Prefix states, sorted by prefix for a deterministic byte stream.
-  std::vector<const std::pair<const Prefix, PrefixState>*> items;
-  items.reserve(prefixes_.size());
-  for (const auto& item : prefixes_) items.push_back(&item);
+  std::vector<std::pair<Prefix, const PrefixState*>> items;
+  for (PrefixId id = 0; id < states_.size(); ++id) {
+    if (states_[id]) items.emplace_back(prefixes_->prefix(id), states_[id].get());
+  }
   std::sort(items.begin(), items.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   w.size(items.size());
-  for (const auto* item : items) {
-    write_prefix(w, item->first);
-    const PrefixState& st = item->second;
+  for (const auto& [prefix, stp] : items) {
+    write_prefix(w, prefix);
+    const PrefixState& st = *stp;
 
     w.size(st.in_path.size());
     for (std::size_t i = 0; i < st.in_path.size(); ++i) {
       pools.path(w, st.in_path[i]);
       pools.comm(w, st.in_comm[i]);
-      w.u8(st.in_learned[i]);
       w.u8(st.in_present[i]);
     }
     w.size(st.in_hints.size());
@@ -173,9 +176,11 @@ void BgpSpeaker::save_snapshot(util::BinWriter& w,
 
     w.b(st.best.has_value());
     if (st.best.has_value()) write_route(w, pools, *st.best);
-    w.b(st.origin.has_value());
-    if (st.origin.has_value()) write_policy(w, pools, *st.origin);
-    pools.comm(w, st.origin_comm);
+    w.b(st.origin != nullptr);
+    if (st.origin != nullptr) {
+      write_policy(w, pools, st.origin->policy);
+      pools.comm(w, st.origin->comm);
+    }
     pools.path(w, st.export_cache);
     w.b(st.export_cache_valid);
 
@@ -191,14 +196,9 @@ void BgpSpeaker::save_snapshot(util::BinWriter& w,
       write_hint(w, hint);
     }
 
-    std::vector<AsId> damped;
-    damped.reserve(st.damping.size());
-    for (const auto& [as, _] : st.damping) damped.push_back(as);
-    std::sort(damped.begin(), damped.end());
-    w.size(damped.size());
-    for (const AsId as : damped) {
-      const DampingState& ds = st.damping.at(as);
-      w.u32(as);
+    w.size(st.damping.size());
+    for (const auto& [slot, ds] : st.damping) {
+      w.u32(slot);
       w.f64(ds.penalty);
       w.f64(ds.last_update);
       w.b(ds.suppressed);
@@ -240,21 +240,26 @@ void BgpSpeaker::load_snapshot(util::BinReader& r,
   cfg_.path_length_limit = r.size();
   cfg_.peerlock_filter = r.b();
 
-  prefixes_.clear();
+  states_.clear();
   const std::size_t n_prefixes = r.count(8);
   for (std::size_t p = 0; p < n_prefixes; ++p) {
-    const Prefix prefix = read_prefix(r);
-    PrefixState st;
+    const PrefixId id = prefixes_->intern(read_prefix(r));
+    if (find_state(id) != nullptr) {
+      throw std::runtime_error("snapshot: duplicate prefix state");
+    }
+    PrefixState& st = state_for(id);
 
-    const std::size_t n_in = r.count(10);
+    const std::size_t n_in = r.count(9);
+    if (n_in != 0 && n_in != row_.degree) {
+      throw std::runtime_error("snapshot: Adj-RIB-In width mismatch "
+                               "(different topology?)");
+    }
     st.in_path.resize(n_in);
     st.in_comm.resize(n_in);
-    st.in_learned.resize(n_in);
     st.in_present.resize(n_in);
     for (std::size_t i = 0; i < n_in; ++i) {
       st.in_path[i] = pools.path(r);
       st.in_comm[i] = pools.comm(r);
-      st.in_learned[i] = r.u8();
       st.in_present[i] = r.u8();
     }
     const std::size_t n_in_hints = r.count(9);
@@ -265,12 +270,19 @@ void BgpSpeaker::load_snapshot(util::BinReader& r,
     }
 
     if (r.b()) st.best = read_route(r, pools);
-    if (r.b()) st.origin = read_policy(r, pools);
-    st.origin_comm = pools.comm(r);
+    if (r.b()) {
+      st.origin = std::make_unique<OriginState>();
+      st.origin->policy = read_policy(r, pools);
+      st.origin->comm = pools.comm(r);
+    }
     st.export_cache = pools.path(r);
     st.export_cache_valid = r.b();
 
     const std::size_t n_out = r.count(9);
+    if (n_out != 0 && n_out != row_.degree) {
+      throw std::runtime_error("snapshot: Adj-RIB-Out width mismatch "
+                               "(different topology?)");
+    }
     st.out_tag.resize(n_out);
     st.out_path.resize(n_out);
     st.out_comm.resize(n_out);
@@ -287,16 +299,15 @@ void BgpSpeaker::load_snapshot(util::BinReader& r,
     }
 
     const std::size_t n_damp = r.count(21);
+    st.damping.reserve(n_damp);
     for (std::size_t i = 0; i < n_damp; ++i) {
-      const AsId as = r.u32();
+      const std::uint32_t slot = r.u32();
       DampingState ds;
       ds.penalty = r.f64();
       ds.last_update = r.f64();
       ds.suppressed = r.b();
-      st.damping.emplace(as, ds);
+      st.damping.emplace_back(slot, ds);
     }
-
-    prefixes_.emplace(prefix, std::move(st));
   }
 
   forced_egress_.reset();
@@ -330,39 +341,21 @@ void BgpEngine::save_snapshot(util::BinWriter& w) const {
   w.vec(best_changes_, [&](std::uint64_t v) { w.u64(v); });
 
   // MRAI tables, sorted by prefix.
-  std::vector<const std::pair<const Prefix, std::vector<MraiState>>*> mrai;
-  mrai.reserve(mrai_.size());
-  for (const auto& item : mrai_) mrai.push_back(&item);
+  std::vector<std::pair<Prefix, const std::vector<MraiState>*>> mrai;
+  for (PrefixId id = 0; id < mrai_.size(); ++id) {
+    if (!mrai_[id].empty()) mrai.emplace_back(prefixes_.prefix(id), &mrai_[id]);
+  }
   std::sort(mrai.begin(), mrai.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   w.size(mrai.size());
-  for (const auto* item : mrai) {
-    write_prefix(w, item->first);
-    w.vec(item->second, [&](const MraiState& ms) {
+  for (const auto& [prefix, table] : mrai) {
+    write_prefix(w, prefix);
+    w.vec(*table, [&](const MraiState& ms) {
       w.f64(ms.ready_at);
       w.b(ms.flush_scheduled);
-      w.u64(ms.next_seq);
+      w.u32(ms.next_seq);
+      w.u32(ms.applied_seq);
     });
-  }
-
-  // Per-receiver delivered-sequence maps (fault plane only; empty otherwise).
-  w.size(delivered_seq_.size());
-  for (const auto& seqs : delivered_seq_) {
-    std::vector<std::pair<SessionPrefixKey, std::uint64_t>> entries(
-        seqs.begin(), seqs.end());
-    std::sort(entries.begin(), entries.end(),
-              [](const auto& a, const auto& b) {
-                if (a.first.session != b.first.session) {
-                  return a.first.session < b.first.session;
-                }
-                return a.first.prefix < b.first.prefix;
-              });
-    w.size(entries.size());
-    for (const auto& [key, seq] : entries) {
-      w.u64(key.session);
-      write_prefix(w, key.prefix);
-      w.u64(seq);
-    }
   }
 
   SnapshotWriterPools pools;
@@ -399,28 +392,21 @@ void BgpEngine::load_snapshot(util::BinReader& r) {
   mrai_.clear();
   const std::size_t n_mrai = r.count(13);
   for (std::size_t i = 0; i < n_mrai; ++i) {
-    const Prefix prefix = read_prefix(r);
+    const PrefixId id = prefixes_.intern(read_prefix(r));
     auto states = r.vec<MraiState>([&] {
       MraiState ms;
       ms.ready_at = r.f64();
       ms.flush_scheduled = r.b();
-      ms.next_seq = r.u64();
+      ms.next_seq = r.u32();
+      ms.applied_seq = r.u32();
       return ms;
     });
-    mrai_.emplace(prefix, std::move(states));
-  }
-
-  const std::size_t n_seq_shards = r.count(8);
-  delivered_seq_.assign(n_seq_shards, {});
-  for (std::size_t s = 0; s < n_seq_shards; ++s) {
-    const std::size_t n_entries = r.count(21);
-    delivered_seq_[s].reserve(n_entries);
-    for (std::size_t i = 0; i < n_entries; ++i) {
-      SessionPrefixKey key;
-      key.session = r.u64();
-      key.prefix = read_prefix(r);
-      delivered_seq_[s].emplace(key, r.u64());
+    if (states.size() != sess_peer_.size()) {
+      throw std::runtime_error("snapshot: MRAI table size mismatch "
+                               "(different topology?)");
     }
+    if (id >= mrai_.size()) mrai_.resize(id + 1);
+    mrai_[id] = std::move(states);
   }
 
   SnapshotReaderPools pools;

@@ -17,63 +17,75 @@ LearnedFrom learned_from_rel(topo::Rel rel) {
   }
   return LearnedFrom::kProvider;
 }
-}  // namespace
 
-BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg)
-    : id_(id), graph_(&graph), cfg_(cfg) {}
-
-void BgpSpeaker::ensure_neighbors() const {
-  if (nbrs_built_) return;
-  const auto& ns = graph_->neighbors(id_);
-  std::vector<std::pair<AsId, topo::Rel>> sorted;
-  sorted.reserve(ns.size());
-  for (const auto& n : ns) sorted.emplace_back(n.id, n.rel);
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  nbr_ids_.reserve(sorted.size());
-  nbr_rel_.reserve(sorted.size());
-  for (const auto& [nid, rel] : sorted) {
-    nbr_ids_.push_back(nid);
-    nbr_rel_.push_back(rel);
-  }
-  nbrs_built_ = true;
-}
-
-std::uint32_t BgpSpeaker::slot_of(AsId neighbor) const {
-  ensure_neighbors();
-  const auto it =
-      std::lower_bound(nbr_ids_.begin(), nbr_ids_.end(), neighbor);
-  if (it == nbr_ids_.end() || *it != neighbor) return kNoSlot;
-  return static_cast<std::uint32_t>(it - nbr_ids_.begin());
-}
-
-std::optional<topo::Rel> BgpSpeaker::rel_of(AsId neighbor) const {
-  const std::uint32_t slot = slot_of(neighbor);
-  if (slot == kNoSlot) return std::nullopt;
-  return nbr_rel_[slot];
-}
-
-void BgpSpeaker::ensure_in(PrefixState& st, std::size_t n) {
-  if (st.in_path.size() == n) return;  // n is fixed per speaker
-  st.in_path.resize(n);
-  st.in_comm.resize(n);
-  st.in_learned.assign(n, 0);
-  st.in_present.assign(n, 0);
-}
-
-void BgpSpeaker::ensure_out(PrefixState& st, std::size_t n) {
-  if (st.out_tag.size() == n) return;
-  st.out_tag.assign(n, kOutUnset);
-  st.out_path.resize(n);
-  st.out_comm.resize(n);
-}
-
-const AvoidHint* BgpSpeaker::hint_at(const HintTable& t, std::uint32_t slot) {
+// Entry for `slot` in a sparse (slot, value) table sorted by slot, or null;
+// const-qualified like the table.
+template <typename Table>
+auto sparse_at(Table& t, std::uint32_t slot) -> decltype(&t.begin()->second) {
   const auto it = std::lower_bound(
       t.begin(), t.end(), slot,
       [](const auto& e, std::uint32_t s) { return e.first < s; });
   if (it == t.end() || it->first != slot) return nullptr;
   return &it->second;
+}
+}  // namespace
+
+struct BgpSpeaker::Standalone {
+  std::vector<AsId> peer;
+  std::vector<topo::Rel> rel;
+  PrefixInterner prefixes;
+};
+
+BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg)
+    : id_(id), graph_(&graph), cfg_(cfg), own_(std::make_unique<Standalone>()) {
+  const auto& ns = graph.neighbors(id);
+  std::vector<topo::Neighbor> sorted(ns.begin(), ns.end());
+  std::sort(sorted.begin(), sorted.end(),
+            [](const auto& a, const auto& b) { return a.id < b.id; });
+  own_->peer.reserve(sorted.size());
+  own_->rel.reserve(sorted.size());
+  for (const auto& n : sorted) {
+    own_->peer.push_back(n.id);
+    own_->rel.push_back(n.rel);
+  }
+  row_ = SessionRow{own_->peer.data(), own_->rel.data(),
+                    static_cast<std::uint32_t>(sorted.size())};
+  prefixes_ = &own_->prefixes;
+}
+
+BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SessionRow row,
+                       PrefixInterner& prefixes)
+    : id_(id), graph_(&graph), row_(row), prefixes_(&prefixes) {}
+
+BgpSpeaker::BgpSpeaker(BgpSpeaker&&) noexcept = default;
+BgpSpeaker& BgpSpeaker::operator=(BgpSpeaker&&) noexcept = default;
+BgpSpeaker::~BgpSpeaker() = default;
+
+std::uint32_t BgpSpeaker::slot_of(AsId neighbor) const {
+  const AsId* end = row_.peer + row_.degree;
+  const AsId* it = std::lower_bound(row_.peer, end, neighbor);
+  if (it == end || *it != neighbor) return kNoSlot;
+  return static_cast<std::uint32_t>(it - row_.peer);
+}
+
+std::optional<topo::Rel> BgpSpeaker::rel_of(AsId neighbor) const {
+  const std::uint32_t slot = slot_of(neighbor);
+  if (slot == kNoSlot) return std::nullopt;
+  return row_.rel[slot];
+}
+
+void BgpSpeaker::ensure_in(PrefixState& st) const {
+  if (st.in_path.size() == row_.degree) return;  // fixed per speaker
+  st.in_path.resize(row_.degree);
+  st.in_comm.resize(row_.degree);
+  st.in_present.assign(row_.degree, 0);
+}
+
+void BgpSpeaker::ensure_out(PrefixState& st) const {
+  if (st.out_tag.size() == row_.degree) return;
+  st.out_tag.assign(row_.degree, kOutUnset);
+  st.out_path.resize(row_.degree);
+  st.out_comm.resize(row_.degree);
 }
 
 void BgpSpeaker::set_hint(HintTable& t, std::uint32_t slot,
@@ -93,43 +105,48 @@ void BgpSpeaker::set_hint(HintTable& t, std::uint32_t slot,
   }
 }
 
-BgpSpeaker::PrefixState& BgpSpeaker::state_for(const Prefix& prefix) {
-  auto [it, inserted] = prefixes_.try_emplace(prefix);
-  if (inserted) len_present_[prefix.length()] = true;
-  return it->second;
-}
-
-const BgpSpeaker::PrefixState* BgpSpeaker::find_state(
-    const Prefix& prefix) const {
-  const auto it = prefixes_.find(prefix);
-  return it == prefixes_.end() ? nullptr : &it->second;
+BgpSpeaker::PrefixState& BgpSpeaker::state_for(PrefixId id) {
+  if (id >= states_.size()) states_.resize(id + 1);
+  std::unique_ptr<PrefixState>& st = states_[id];
+  if (!st) {
+    st = std::make_unique<PrefixState>();
+    len_present_[prefixes_->prefix(id).length()] = true;
+  }
+  return *st;
 }
 
 void BgpSpeaker::set_origin_policy(const Prefix& prefix, OriginPolicy policy) {
-  auto& st = state_for(prefix);
-  st.origin = std::move(policy);
+  set_origin_policy(prefixes_->intern(prefix), std::move(policy));
+}
+
+void BgpSpeaker::set_origin_policy(PrefixId id, OriginPolicy policy) {
+  auto& st = state_for(id);
+  if (!st.origin) st.origin = std::make_unique<OriginState>();
+  st.origin->policy = std::move(policy);
   // Intern the policy's community set once; every export shares the buffer.
-  st.origin_comm = CommunitiesRef(st.origin->communities);
+  st.origin->comm = CommunitiesRef(st.origin->policy.communities);
 }
 
 void BgpSpeaker::clear_origin_policy(const Prefix& prefix) {
-  if (auto it = prefixes_.find(prefix); it != prefixes_.end()) {
-    it->second.origin.reset();
-    it->second.origin_comm = CommunitiesRef();
-  }
+  clear_origin_policy(prefixes_->find(prefix));
+}
+
+void BgpSpeaker::clear_origin_policy(PrefixId id) {
+  if (auto* st = find_state(id)) st->origin.reset();
 }
 
 bool BgpSpeaker::originates(const Prefix& prefix) const {
   const auto* st = find_state(prefix);
-  return st != nullptr && st->origin.has_value();
+  return st != nullptr && st->origin != nullptr;
 }
 
 const OriginPolicy* BgpSpeaker::origin_policy(const Prefix& prefix) const {
   const auto* st = find_state(prefix);
-  return st != nullptr && st->origin ? &*st->origin : nullptr;
+  return st != nullptr && st->origin ? &st->origin->policy : nullptr;
 }
 
-bool BgpSpeaker::import_acceptable(const UpdateMessage& msg) {
+bool BgpSpeaker::import_acceptable(const UpdateMessage& msg,
+                                   std::uint32_t slot) {
   // Loop prevention: reject when our ASN appears loop_threshold+ times.
   if (!cfg_.loop_detection_disabled &&
       count_occurrences(msg.path, id_) >= cfg_.loop_threshold) {
@@ -137,8 +154,7 @@ bool BgpSpeaker::import_acceptable(const UpdateMessage& msg) {
     return false;
   }
   if (cfg_.reject_customer_routes_containing_my_peers) {
-    const auto rel = rel_of(msg.from);
-    if (rel == topo::Rel::kCustomer) {
+    if (row_.rel[slot] == topo::Rel::kCustomer) {
       for (const AsId hop : msg.path) {
         if (rel_of(hop) == topo::Rel::kPeer) {
           ++rejected_peer_filter_;
@@ -200,12 +216,27 @@ void decay_penalty(double& penalty, double& last, double now,
 }  // namespace
 
 bool BgpSpeaker::process_update(const UpdateMessage& msg, double now) {
-  auto& st = state_for(msg.prefix);
-  const std::uint32_t slot = slot_of(msg.from);
+  const PrefixId id = msg.prefix_id != kNoPrefixId
+                          ? msg.prefix_id
+                          : prefixes_->intern(msg.prefix);
+  const std::uint32_t slot =
+      msg.to_slot != kNoSlot ? msg.to_slot : slot_of(msg.from);
+  return process_update(msg, id, slot, now);
+}
+
+bool BgpSpeaker::process_update(const UpdateMessage& msg, PrefixId id,
+                                std::uint32_t slot, double now) {
+  auto& st = state_for(id);
   if (slot == kNoSlot) return false;  // not adjacent: drop
 
   if (cfg_.damping_enabled) {
-    auto& damping = st.damping[msg.from];
+    auto it = std::lower_bound(
+        st.damping.begin(), st.damping.end(), slot,
+        [](const auto& e, std::uint32_t s) { return e.first < s; });
+    if (it == st.damping.end() || it->first != slot) {
+      it = st.damping.insert(it, {slot, DampingState{}});
+    }
+    DampingState& damping = it->second;
     decay_penalty(damping.penalty, damping.last_update, now,
                   cfg_.damping_half_life_seconds);
     damping.penalty += cfg_.damping_penalty_per_update;
@@ -214,12 +245,10 @@ bool BgpSpeaker::process_update(const UpdateMessage& msg, double now) {
     }
   }
 
-  if (msg.type == MsgType::kAnnounce && import_acceptable(msg)) {
-    ensure_in(st, nbr_ids_.size());
+  if (msg.type == MsgType::kAnnounce && import_acceptable(msg, slot)) {
+    ensure_in(st);
     st.in_path[slot] = msg.path;
     st.in_comm[slot] = msg.communities;
-    st.in_learned[slot] =
-        static_cast<std::uint8_t>(learned_from_rel(nbr_rel_[slot]));
     st.in_present[slot] = 1;
     set_hint(st.in_hints, slot, msg.avoid_hint);
     if (msg.avoid_hint && msg.avoid_hint->as == id_) {
@@ -234,10 +263,10 @@ bool BgpSpeaker::process_update(const UpdateMessage& msg, double now) {
     st.in_comm[slot] = CommunitiesRef();
     set_hint(st.in_hints, slot, std::nullopt);
   }
-  return recompute_best(msg.prefix, st);
+  return recompute_best(id, st);
 }
 
-bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
+bool BgpSpeaker::recompute_best(PrefixId id, PrefixState& st) {
   // AVOID_PROBLEM semantics: if any candidate carries a hint, routes whose
   // path hits the hinted AS/link form a lower tier — used only when no
   // clean route exists (Avoidance + Backup properties, §3). The hint table
@@ -255,12 +284,11 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
   for (std::uint32_t s = 0; s < n; ++s) {
     if (st.in_present[s] == 0) continue;
     if (cfg_.damping_enabled) {
-      const auto it = st.damping.find(nbr_ids_[s]);
-      if (it != st.damping.end() && it->second.suppressed) continue;
+      const DampingState* d = sparse_at(st.damping, s);
+      if (d != nullptr && d->suppressed) continue;
     }
     const bool flagged = hint && path_hits_avoid_hint(st.in_path[s], *hint);
-    const int pref =
-        local_pref(static_cast<LearnedFrom>(st.in_learned[s]));
+    const int pref = local_pref(learned_from_rel(row_.rel[s]));
     const std::size_t len = st.in_path[s].size();
     // Slots scan in ascending neighbor-id order and the comparisons are
     // strict, so ties keep the lowest neighbor — exactly better_route's
@@ -280,9 +308,9 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
     changed = st.best.has_value();
     if (changed) st.best.reset();
   } else {
-    const AsId nbr = nbr_ids_[win];
-    const auto learned = static_cast<LearnedFrom>(st.in_learned[win]);
-    const AvoidHint* win_hint = hint_at(st.in_hints, win);
+    const AsId nbr = row_.peer[win];
+    const LearnedFrom learned = learned_from_rel(row_.rel[win]);
+    const AvoidHint* win_hint = sparse_at(st.in_hints, win);
     changed =
         !st.best || st.best->neighbor != nbr || st.best->learned != learned ||
         !(st.best->path == st.in_path[win]) ||
@@ -292,7 +320,7 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
          !(*st.best->avoid_hint == *win_hint));
     if (changed) {
       Route r;
-      r.prefix = prefix;
+      r.prefix = prefixes_->prefix(id);
       r.path = st.in_path[win];
       r.neighbor = nbr;
       r.learned = learned;
@@ -307,23 +335,26 @@ bool BgpSpeaker::recompute_best(const Prefix& prefix, PrefixState& st) {
 }
 
 const Route* BgpSpeaker::best_route(const Prefix& prefix) const {
-  const auto* st = find_state(prefix);
+  return best_route(prefixes_->find(prefix));
+}
+
+const Route* BgpSpeaker::best_route(PrefixId id) const {
+  const auto* st = find_state(id);
   return st != nullptr && st->best ? &*st->best : nullptr;
 }
 
 std::vector<Route> BgpSpeaker::rib_in(const Prefix& prefix) const {
   std::vector<Route> out;
   if (const auto* st = find_state(prefix)) {
-    ensure_neighbors();
     for (std::uint32_t s = 0; s < st->in_path.size(); ++s) {
       if (st->in_present[s] == 0) continue;
       Route r;
       r.prefix = prefix;
       r.path = st->in_path[s];
-      r.neighbor = nbr_ids_[s];
-      r.learned = static_cast<LearnedFrom>(st->in_learned[s]);
+      r.neighbor = row_.peer[s];
+      r.learned = learned_from_rel(row_.rel[s]);
       r.communities = st->in_comm[s];
-      if (const AvoidHint* h = hint_at(st->in_hints, s)) r.avoid_hint = *h;
+      if (const AvoidHint* h = sparse_at(st->in_hints, s)) r.avoid_hint = *h;
       out.push_back(std::move(r));
     }
     std::sort(out.begin(), out.end(), [](const Route& a, const Route& b) {
@@ -370,15 +401,21 @@ FibResult BgpSpeaker::fib_lookup(topo::Ipv4 dst) const {
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
     const Prefix& prefix, AsId neighbor) const {
-  const auto* st = find_state(prefix);
+  const std::uint32_t slot = slot_of(neighbor);
+  if (slot == kNoSlot) return std::nullopt;
+  return export_path(prefixes_->find(prefix), slot);
+}
+
+std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
+    PrefixId id, std::uint32_t slot) const {
+  const auto* st = find_state(id);
   if (st == nullptr) return std::nullopt;
-  const std::uint32_t nslot = slot_of(neighbor);
-  if (nslot == kNoSlot) return std::nullopt;
+  const AsId neighbor = row_.peer[slot];
 
   if (st->origin) {
-    const auto& path = st->origin->path_for(neighbor);
+    const auto& path = st->origin->policy.path_for(neighbor);
     if (!path) return std::nullopt;
-    return ExportUnit{*path, st->origin_comm, st->origin->avoid_hint};
+    return ExportUnit{*path, st->origin->comm, st->origin->policy.avoid_hint};
   }
 
   if (!st->best) return std::nullopt;
@@ -387,7 +424,7 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
   // Gao-Rexford: customer routes go to everyone; peer/provider routes only
   // to customers.
   const bool allowed = best.learned == LearnedFrom::kCustomer ||
-                       nbr_rel_[nslot] == topo::Rel::kCustomer;
+                       row_.rel[slot] == topo::Rel::kCustomer;
   if (!allowed) return std::nullopt;
   // Self-prepended Loc-RIB path, built once per best-route change and shared
   // by every neighbor export, the in-flight update, the receiver RIB, and
@@ -411,10 +448,15 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
 
 BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(const Prefix& prefix,
                                                   AsId neighbor) const {
-  const auto* st = find_state(prefix);
-  if (st == nullptr) return AdjOutState::kNeverAdvertised;
   const std::uint32_t slot = slot_of(neighbor);
-  if (slot == kNoSlot || slot >= st->out_tag.size() ||
+  if (slot == kNoSlot) return AdjOutState::kNeverAdvertised;
+  return adj_out_state(prefixes_->find(prefix), slot);
+}
+
+BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(PrefixId id,
+                                                  std::uint32_t slot) const {
+  const auto* st = find_state(id);
+  if (st == nullptr || slot >= st->out_tag.size() ||
       st->out_tag[slot] == kOutUnset) {
     return AdjOutState::kNeverAdvertised;
   }
@@ -424,17 +466,22 @@ BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(const Prefix& prefix,
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
     const Prefix& prefix, AsId neighbor) const {
-  const auto* st = find_state(prefix);
-  if (st == nullptr) return std::nullopt;
   const std::uint32_t slot = slot_of(neighbor);
-  if (slot == kNoSlot || slot >= st->out_tag.size() ||
+  if (slot == kNoSlot) return std::nullopt;
+  return adj_out_unit(prefixes_->find(prefix), slot);
+}
+
+std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
+    PrefixId id, std::uint32_t slot) const {
+  const auto* st = find_state(id);
+  if (st == nullptr || slot >= st->out_tag.size() ||
       st->out_tag[slot] != kOutUnit) {
     return std::nullopt;
   }
   ExportUnit out;
   out.path = st->out_path[slot];
   out.communities = st->out_comm[slot];
-  if (const AvoidHint* h = hint_at(st->out_hints, slot)) out.avoid_hint = *h;
+  if (const AvoidHint* h = sparse_at(st->out_hints, slot)) out.avoid_hint = *h;
   return out;
 }
 
@@ -442,8 +489,13 @@ void BgpSpeaker::record_advertised(const Prefix& prefix, AsId neighbor,
                                    std::optional<ExportUnit> unit) {
   const std::uint32_t slot = slot_of(neighbor);
   if (slot == kNoSlot) return;  // engine only records for real sessions
-  auto& st = state_for(prefix);
-  ensure_out(st, nbr_ids_.size());
+  record_advertised(prefixes_->intern(prefix), slot, std::move(unit));
+}
+
+void BgpSpeaker::record_advertised(PrefixId id, std::uint32_t slot,
+                                   std::optional<ExportUnit> unit) {
+  auto& st = state_for(id);
+  ensure_out(st);
   if (unit) {
     st.out_tag[slot] = kOutUnit;
     st.out_path[slot] = std::move(unit->path);
@@ -459,8 +511,9 @@ void BgpSpeaker::record_advertised(const Prefix& prefix, AsId neighbor,
 
 std::vector<Prefix> BgpSpeaker::known_prefixes() const {
   std::vector<Prefix> out;
-  out.reserve(prefixes_.size());
-  for (const auto& [p, st] : prefixes_) out.push_back(p);
+  for (PrefixId id = 0; id < states_.size(); ++id) {
+    if (states_[id]) out.push_back(prefixes_->prefix(id));
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -468,12 +521,18 @@ std::vector<Prefix> BgpSpeaker::known_prefixes() const {
 std::optional<double> BgpSpeaker::damping_reuse_delay(const Prefix& prefix,
                                                       AsId neighbor,
                                                       double now) const {
-  const auto* st = find_state(prefix);
+  return damping_reuse_delay(prefixes_->find(prefix), slot_of(neighbor), now);
+}
+
+std::optional<double> BgpSpeaker::damping_reuse_delay(PrefixId id,
+                                                      std::uint32_t slot,
+                                                      double now) const {
+  const auto* st = find_state(id);
   if (st == nullptr) return std::nullopt;
-  const auto it = st->damping.find(neighbor);
-  if (it == st->damping.end() || !it->second.suppressed) return std::nullopt;
-  double penalty = it->second.penalty;
-  double last = it->second.last_update;
+  const DampingState* d = sparse_at(st->damping, slot);
+  if (d == nullptr || !d->suppressed) return std::nullopt;
+  double penalty = d->penalty;
+  double last = d->last_update;
   decay_penalty(penalty, last, now, cfg_.damping_half_life_seconds);
   if (penalty <= cfg_.damping_reuse_threshold) return 0.0;
   return cfg_.damping_half_life_seconds *
@@ -482,55 +541,57 @@ std::optional<double> BgpSpeaker::damping_reuse_delay(const Prefix& prefix,
 
 bool BgpSpeaker::recheck_damping(const Prefix& prefix, AsId neighbor,
                                  double now) {
-  auto* st = const_cast<PrefixState*>(find_state(prefix));
+  return recheck_damping(prefixes_->find(prefix), slot_of(neighbor), now);
+}
+
+bool BgpSpeaker::recheck_damping(PrefixId id, std::uint32_t slot, double now) {
+  auto* st = find_state(id);
   if (st == nullptr) return false;
-  const auto it = st->damping.find(neighbor);
-  if (it == st->damping.end() || !it->second.suppressed) return false;
-  decay_penalty(it->second.penalty, it->second.last_update, now,
+  DampingState* d = sparse_at(st->damping, slot);
+  if (d == nullptr || !d->suppressed) return false;
+  decay_penalty(d->penalty, d->last_update, now,
                 cfg_.damping_half_life_seconds);
-  if (it->second.penalty > cfg_.damping_reuse_threshold) return false;
-  it->second.suppressed = false;
-  return recompute_best(prefix, *st);
+  if (d->penalty > cfg_.damping_reuse_threshold) return false;
+  d->suppressed = false;
+  return recompute_best(id, *st);
 }
 
 bool BgpSpeaker::is_suppressed(const Prefix& prefix, AsId neighbor) const {
   const auto* st = find_state(prefix);
   if (st == nullptr) return false;
-  const auto it = st->damping.find(neighbor);
-  return it != st->damping.end() && it->second.suppressed;
+  const DampingState* d = sparse_at(st->damping, slot_of(neighbor));
+  return d != nullptr && d->suppressed;
 }
 
 std::optional<AsId> BgpSpeaker::default_gateway() const {
-  ensure_neighbors();
   // Slots ascend by neighbor id, so the first provider is the lowest ASN.
-  for (std::size_t s = 0; s < nbr_ids_.size(); ++s) {
-    if (nbr_rel_[s] == topo::Rel::kProvider) return nbr_ids_[s];
+  for (std::uint32_t s = 0; s < row_.degree; ++s) {
+    if (row_.rel[s] == topo::Rel::kProvider) return row_.peer[s];
   }
   return std::nullopt;
 }
 
 BgpSpeaker::RibMemory BgpSpeaker::rib_memory() const {
-  // Estimated per-node bookkeeping of the prefix hash map (bucket pointer +
-  // node header); the exact figure is library-dependent, the estimate keeps
-  // the metric deterministic.
-  constexpr std::size_t kMapNodeOverhead = 32;
+  // Structural bytes only: the session row and the prefix interner belong
+  // to the engine, which counts them once (BgpEngine::rib_memory).
   RibMemory m;
   m.bytes += sizeof(*this);
-  m.bytes += nbr_ids_.capacity() * sizeof(AsId) +
-             nbr_rel_.capacity() * sizeof(topo::Rel);
-  for (const auto& [p, st] : prefixes_) {
+  m.bytes += states_.capacity() * sizeof(states_[0]);
+  for (const auto& stp : states_) {
+    if (!stp) continue;
+    const PrefixState& st = *stp;
     ++m.prefixes;
-    m.bytes += sizeof(p) + sizeof(st) + kMapNodeOverhead;
+    m.bytes += sizeof(PrefixState);
+    if (st.origin) m.bytes += sizeof(OriginState);
     m.bytes += st.in_path.capacity() * sizeof(PathRef) +
                st.in_comm.capacity() * sizeof(CommunitiesRef) +
-               st.in_learned.capacity() + st.in_present.capacity() +
+               st.in_present.capacity() +
                st.in_hints.capacity() * sizeof(HintTable::value_type);
     m.bytes += st.out_tag.capacity() +
                st.out_path.capacity() * sizeof(PathRef) +
                st.out_comm.capacity() * sizeof(CommunitiesRef) +
                st.out_hints.capacity() * sizeof(HintTable::value_type);
-    m.bytes += st.damping.size() * (sizeof(AsId) + sizeof(DampingState) +
-                                    kMapNodeOverhead);
+    m.bytes += st.damping.capacity() * sizeof(DampingTable::value_type);
     for (const std::uint8_t present : st.in_present) m.routes += present;
     for (const std::uint8_t tag : st.out_tag) {
       if (tag == kOutUnit) ++m.adj_out_slots;

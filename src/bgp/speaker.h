@@ -7,25 +7,28 @@
 // withdrawal of whatever that neighbor previously advertised), so A and
 // everything captive behind it lose the route while other ASes route around.
 //
-// Storage layout (Internet-scale refactor): per-prefix state is a
-// struct-of-arrays RIB keyed by a dense per-speaker *neighbor slot* — the
-// rank of the neighbor's AS id in this speaker's sorted adjacency list. The
-// graph is immutable once routing starts, so the slot table is built once
-// and every RIB table (Adj-RIB-In paths, interned communities, learned-from
-// tags, presence bits, Adj-RIB-Out tags) becomes a flat vector indexed by
-// slot. Compared with the former unordered_map<AsId, Route> layout this
-// removes per-entry node allocations and hashing, shrinks a resident route
-// to ~34 bytes of holder state (PathRef + CommunitiesRef + two tag bytes)
-// plus buffers shared across all holders, and makes iteration order the
-// deterministic ascending-neighbor-id order the decision process already
-// ties on. Avoid hints are rare, so they live in small sorted sparse
-// side-tables instead of widening every slot. See docs/TOPOLOGIES.md for
-// the bytes/route model.
+// Storage layout: dense integer keys end to end.
+//  - Prefixes: per-prefix state is found by the engine-interned PrefixId
+//    (PrefixInterner), through a per-speaker vector indexed by id. The
+//    Prefix-keyed public methods make one interner lookup and then take the
+//    same id path the engine uses.
+//  - Neighbors: a neighbor's *slot* is the rank of its AS id in this
+//    speaker's sorted adjacency. The speaker does not own that list: it
+//    reads its row of the engine's directed-session CSR (SessionRow), so
+//    neighbor ids and relationships are stored once per world. Updates from
+//    the engine carry the receiver's slot, so delivery does no search.
+//  - RIB tables: each prefix state is a struct of arrays over slots
+//    (Adj-RIB-In paths, interned communities, presence bits, Adj-RIB-Out
+//    tags). The learned-from tag is derived from the slot's relationship,
+//    not stored. Iteration order is the ascending-neighbor-id order the
+//    decision process ties on. Avoid hints and damping state are rare, so
+//    they live in small sorted sparse side-tables.
+// See docs/TOPOLOGIES.md for the bytes/route model.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -91,6 +94,15 @@ struct SpeakerConfig {
   bool peerlock_filter = false;
 };
 
+// One AS's row of the directed-session CSR: its neighbors in ascending id
+// order (a neighbor's slot is its index here) and what each is to the AS.
+// The arrays are owned by the engine (or by a standalone speaker).
+struct SessionRow {
+  const AsId* peer = nullptr;
+  const topo::Rel* rel = nullptr;
+  std::uint32_t degree = 0;
+};
+
 struct FibResult {
   bool has_route = false;
   bool local = false;                 // delivered inside this AS
@@ -101,7 +113,16 @@ struct FibResult {
 
 class BgpSpeaker {
  public:
+  // Standalone speaker (tests, microbenchmarks): builds its own sorted
+  // neighbor row from `graph` and its own prefix interner.
   BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg = {});
+  // Engine-attached speaker: reads `row` of the engine's session CSR and
+  // shares the engine's interner. Both must outlive the speaker.
+  BgpSpeaker(AsId id, const topo::AsGraph& graph, SessionRow row,
+             PrefixInterner& prefixes);
+  BgpSpeaker(BgpSpeaker&&) noexcept;
+  BgpSpeaker& operator=(BgpSpeaker&&) noexcept;
+  ~BgpSpeaker();
 
   AsId id() const noexcept { return id_; }
   const SpeakerConfig& config() const noexcept { return cfg_; }
@@ -170,10 +191,10 @@ class BgpSpeaker {
   void record_advertised(const Prefix& prefix, AsId neighbor,
                          std::optional<ExportUnit> unit);
 
-  // Prefixes this speaker has any state for.
+  // Prefixes this speaker has any state for, ascending by Prefix.
   std::vector<Prefix> known_prefixes() const;
 
-  // Relationship of `neighbor` to this AS, via the dense slot table
+  // Relationship of `neighbor` to this AS, via the session row
   // (O(log degree), no graph hashing).
   std::optional<topo::Rel> rel_of(AsId neighbor) const;
 
@@ -232,30 +253,54 @@ class BgpSpeaker {
   void save_snapshot(util::BinWriter& w, SnapshotWriterPools& pools) const;
   void load_snapshot(util::BinReader& r, SnapshotReaderPools& pools);
 
+  // ---- Id path (the engine's hot path; the Prefix/AsId-keyed methods
+  // above resolve their keys once and call these). `slot` is a neighbor
+  // slot of this speaker's session row.
+  bool process_update(const UpdateMessage& msg, PrefixId id,
+                      std::uint32_t slot, double now);
+  const Route* best_route(PrefixId id) const;
+  std::optional<ExportUnit> export_path(PrefixId id, std::uint32_t slot) const;
+  AdjOutState adj_out_state(PrefixId id, std::uint32_t slot) const;
+  std::optional<ExportUnit> adj_out_unit(PrefixId id, std::uint32_t slot) const;
+  void record_advertised(PrefixId id, std::uint32_t slot,
+                         std::optional<ExportUnit> unit);
+  void set_origin_policy(PrefixId id, OriginPolicy policy);
+  void clear_origin_policy(PrefixId id);
+  std::optional<double> damping_reuse_delay(PrefixId id, std::uint32_t slot,
+                                            double now) const;
+  bool recheck_damping(PrefixId id, std::uint32_t slot, double now);
+  // Slot of `neighbor` in the sorted session row, or kNoSlot.
+  std::uint32_t slot_of(AsId neighbor) const;
+
  private:
   struct DampingState {
     double penalty = 0.0;
     double last_update = 0.0;
     bool suppressed = false;
   };
-  // Sparse (slot, hint) side-table, ascending by slot. Hints are attached
-  // to a small minority of routes, so they do not widen the dense arrays.
+  // Sparse (slot, value) side-tables, ascending by slot. Hints are attached
+  // to a small minority of routes and damping state exists only with
+  // damping on, so neither widens the dense arrays.
   using HintTable = std::vector<std::pair<std::uint32_t, AvoidHint>>;
+  using DampingTable = std::vector<std::pair<std::uint32_t, DampingState>>;
+
+  struct OriginState {
+    OriginPolicy policy;
+    // Interned copy of policy.communities, built once at set_origin_policy
+    // so export_path never re-allocates it.
+    CommunitiesRef comm;
+  };
 
   struct PrefixState {
     // ---- Adj-RIB-In, struct-of-arrays over neighbor slots. Sized lazily
     // on the first accepted import (origin-only states stay empty).
     std::vector<PathRef> in_path;
     std::vector<CommunitiesRef> in_comm;
-    std::vector<std::uint8_t> in_learned;  // LearnedFrom
     std::vector<std::uint8_t> in_present;
     HintTable in_hints;  // entries only for present slots carrying a hint
 
     std::optional<Route> best;
-    std::optional<OriginPolicy> origin;
-    // Interned copy of origin->communities, built once at
-    // set_origin_policy so export_path never re-allocates it.
-    CommunitiesRef origin_comm;
+    std::unique_ptr<OriginState> origin;  // only at the originating AS
 
     // Cached self-prepended Loc-RIB export path, shared by every neighbor
     // this route is advertised to. Invalidated on best-route change.
@@ -270,39 +315,42 @@ class BgpSpeaker {
     std::vector<CommunitiesRef> out_comm;
     HintTable out_hints;
 
-    std::unordered_map<AsId, DampingState> damping;
+    DampingTable damping;
   };
   enum AdjOutTag : std::uint8_t { kOutUnset = 0, kOutNone = 1, kOutUnit = 2 };
 
-  // Dense neighbor slot table (built lazily from the immutable graph).
-  void ensure_neighbors() const;
-  // Slot of `neighbor` in the sorted adjacency, or kNoSlot.
-  std::uint32_t slot_of(AsId neighbor) const;
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+  // Storage of a standalone speaker's session row and interner.
+  struct Standalone;
 
-  static void ensure_in(PrefixState& st, std::size_t n);
-  static void ensure_out(PrefixState& st, std::size_t n);
-  static const AvoidHint* hint_at(const HintTable& t, std::uint32_t slot);
+  void ensure_in(PrefixState& st) const;
+  void ensure_out(PrefixState& st) const;
   static void set_hint(HintTable& t, std::uint32_t slot,
                        const std::optional<AvoidHint>& hint);
 
   // Returns true if best changed.
-  bool recompute_best(const Prefix& prefix, PrefixState& st);
-  bool import_acceptable(const UpdateMessage& msg);
-  PrefixState& state_for(const Prefix& prefix);
-  const PrefixState* find_state(const Prefix& prefix) const;
+  bool recompute_best(PrefixId id, PrefixState& st);
+  bool import_acceptable(const UpdateMessage& msg, std::uint32_t slot);
+  PrefixState& state_for(PrefixId id);
+  const PrefixState* find_state(PrefixId id) const noexcept {
+    return id < states_.size() ? states_[id].get() : nullptr;
+  }
+  PrefixState* find_state(PrefixId id) noexcept {
+    return id < states_.size() ? states_[id].get() : nullptr;
+  }
+  const PrefixState* find_state(const Prefix& prefix) const {
+    return find_state(prefixes_->find(prefix));
+  }
 
   AsId id_;
   const topo::AsGraph* graph_;
   SpeakerConfig cfg_;
-  // Sorted neighbor ids + parallel relationship array; the slot index into
-  // every per-prefix RIB table. Lazily built (mutable) because speakers may
-  // be constructed while the graph is still being assembled; the graph is
-  // immutable once the first update flows.
-  mutable std::vector<AsId> nbr_ids_;
-  mutable std::vector<topo::Rel> nbr_rel_;
-  mutable bool nbrs_built_ = false;
-  std::unordered_map<Prefix, PrefixState, topo::PrefixHash> prefixes_;
+  std::unique_ptr<Standalone> own_;  // null when engine-attached
+  SessionRow row_;
+  PrefixInterner* prefixes_;
+  // Per-prefix state indexed by PrefixId; null where this speaker holds no
+  // state. One allocation per held prefix, so a Route* stays valid while
+  // other prefixes are added.
+  std::vector<std::unique_ptr<PrefixState>> states_;
   std::optional<AsId> forced_egress_;
   bool len_present_[33] = {};
   const std::vector<AsId>* locked_ases_ = nullptr;

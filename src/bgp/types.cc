@@ -15,6 +15,25 @@ const Communities& CommunitiesRef::empty_set() noexcept {
   return kEmpty;
 }
 
+PrefixId PrefixInterner::intern(const Prefix& prefix) {
+  const auto [it, inserted] =
+      ids_.try_emplace(prefix, static_cast<PrefixId>(prefixes_.size()));
+  if (inserted) prefixes_.push_back(prefix);
+  return it->second;
+}
+
+PrefixId PrefixInterner::find(const Prefix& prefix) const noexcept {
+  const auto it = ids_.find(prefix);
+  return it == ids_.end() ? kNoPrefixId : it->second;
+}
+
+std::size_t PrefixInterner::memory_bytes() const noexcept {
+  // Estimated per-node bookkeeping of the lookup map, as in rib_memory().
+  constexpr std::size_t kMapNodeOverhead = 32;
+  return prefixes_.capacity() * sizeof(Prefix) +
+         ids_.size() * (sizeof(Prefix) + sizeof(PrefixId) + kMapNodeOverhead);
+}
+
 std::string path_str(const AsPath& path) {
   std::string out;
   for (std::size_t i = 0; i < path.size(); ++i) {

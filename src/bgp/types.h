@@ -23,6 +23,37 @@ namespace lg::bgp {
 using topo::AsId;
 using topo::Prefix;
 
+// Dense engine-internal prefix index (see PrefixInterner).
+using PrefixId = std::uint32_t;
+inline constexpr PrefixId kNoPrefixId = 0xffffffffu;
+// A neighbor slot (rank in a speaker's sorted neighbor list) that names no
+// neighbor.
+inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
+// Interns each Prefix once into a dense PrefixId, so every per-prefix table
+// on the BGP hot path (speaker RIB state, MRAI tables, frontier touch lists)
+// is a plain vector index instead of a Prefix hash lookup. The engine owns
+// one interner and interns a prefix the first time it is originated or
+// withdrawn; the Prefix-keyed public API makes one find() at the boundary.
+//
+// Ids are internal indices only: nothing observable iterates in id order,
+// and a restored engine may number prefixes differently from the one that
+// saved the snapshot (snapshots key by Prefix).
+class PrefixInterner {
+ public:
+  // The prefix's id, assigning the next dense id on first sight.
+  PrefixId intern(const Prefix& prefix);
+  // The prefix's id, or kNoPrefixId if it was never interned.
+  PrefixId find(const Prefix& prefix) const noexcept;
+  const Prefix& prefix(PrefixId id) const noexcept { return prefixes_[id]; }
+  // Structural footprint (for rib_memory-style accounting).
+  std::size_t memory_bytes() const noexcept;
+
+ private:
+  std::vector<Prefix> prefixes_;
+  std::unordered_map<Prefix, PrefixId, topo::PrefixHash> ids_;
+};
+
 // BGP community attribute values (RFC 1997 style, opaque 32-bit tags). The
 // paper probes communities as a possible AVOID_PROBLEM notification channel
 // (§2.3) and finds they are not viable: many networks strip them, so they
@@ -103,6 +134,12 @@ struct UpdateMessage {
   // requeues reorder deliveries (an update sent earlier must never be
   // applied after one sent later on the same session for the same prefix).
   std::uint64_t seq = 0;
+  // Dense keys stamped by the engine, so delivery does no lookup: the
+  // prefix's interned id and the slot of `from` in the receiver's sorted
+  // neighbor list. Hand-built messages leave the defaults, and the speaker
+  // then resolves both from `prefix` and `from`.
+  PrefixId prefix_id = kNoPrefixId;
+  std::uint32_t to_slot = kNoSlot;
   PathRef path;                // valid iff type == kAnnounce; shared buffer
   CommunitiesRef communities;  // valid iff type == kAnnounce; shared buffer
   std::optional<AvoidHint> avoid_hint;  // valid iff type == kAnnounce

@@ -8,23 +8,39 @@ namespace lg::util {
 
 std::uint64_t Scheduler::at(SimTime when, Callback cb) {
   if (when < now_) when = now_;
-  const std::uint64_t id = next_id_++;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  ++s.generation;  // odd: pending
+  const std::uint64_t id = make_id(slot, s.generation);
   heap_.push_back(Event{when, next_seq_++, id});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
-  callbacks_.emplace(id, std::move(cb));
   ++live_events_;
   if (live_events_ > max_pending_) max_pending_ = live_events_;
   return id;
 }
 
+void Scheduler::free_slot(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.cb = nullptr;
+  ++s.generation;  // even: free; every outstanding id for it is now stale
+  free_slots_.push_back(slot);
+  --live_events_;
+}
+
 bool Scheduler::cancel(std::uint64_t id) {
-  const auto erased = callbacks_.erase(id);
-  if (erased != 0) {
-    --live_events_;
-    ++cancelled_;
-    maybe_compact();
-  }
-  return erased != 0;
+  if (!live(id)) return false;
+  free_slot(static_cast<std::uint32_t>(id));
+  ++cancelled_;
+  maybe_compact();
+  return true;
 }
 
 void Scheduler::maybe_compact() {
@@ -34,14 +50,13 @@ void Scheduler::maybe_compact() {
   // events plus a constant.
   const std::size_t tombstones = heap_.size() - live_events_;
   if (tombstones <= 64 || tombstones <= live_events_) return;
-  std::erase_if(heap_,
-                [this](const Event& ev) { return !callbacks_.contains(ev.id); });
+  std::erase_if(heap_, [this](const Event& ev) { return !live(ev.id); });
   std::make_heap(heap_.begin(), heap_.end(), Later{});
   ++compactions_;
 }
 
 void Scheduler::prune_top() {
-  while (!heap_.empty() && !callbacks_.contains(heap_.front().id)) {
+  while (!heap_.empty() && !live(heap_.front().id)) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
   }
@@ -51,10 +66,9 @@ void Scheduler::execute_top() {
   const Event ev = heap_.front();
   std::pop_heap(heap_.begin(), heap_.end(), Later{});
   heap_.pop_back();
-  const auto it = callbacks_.find(ev.id);
-  Callback cb = std::move(it->second);
-  callbacks_.erase(it);
-  --live_events_;
+  const auto slot = static_cast<std::uint32_t>(ev.id);
+  Callback cb = std::move(slots_[slot].cb);
+  free_slot(slot);
   now_ = std::max(now_, ev.when);
   ++executed_;
   cb();
@@ -101,8 +115,9 @@ void Scheduler::restore_state(const State& s) {
         "Scheduler::restore_state: queue not drained (" +
         std::to_string(live_events_) + " pending events)");
   }
+  // Every slot is free here; keeping them (and their generations) keeps
+  // ids unique across the restore.
   heap_.clear();
-  callbacks_.clear();
   now_ = s.now;
   executed_ = s.executed;
   cancelled_ = s.cancelled;

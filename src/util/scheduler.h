@@ -10,6 +10,14 @@
 // instead of per event, which is what the BGP frontier pump leans on when it
 // schedules one tick per delivery quantum.
 //
+// Callbacks live in a slot vector with a free list. An event id is the
+// slot's generation in the high 32 bits and the slot index in the low 32;
+// firing or cancelling an event bumps the generation and frees the slot, so
+// an old id never matches the event that later reuses its slot. Scheduling,
+// firing and cancelling are array accesses, and a closure that fits
+// std::function's inline buffer (two words, e.g. `this` plus two 32-bit
+// indices) is scheduled without a heap allocation.
+//
 // Cancelled events leave tombstones in the heap; when tombstones outnumber
 // live events the heap is compacted in place, so heavy cancel churn (fleet
 // watchdogs, damping re-checks racing withdrawals) cannot grow the queue
@@ -18,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 namespace lg::util {
@@ -36,7 +43,8 @@ class Scheduler {
   SimTime now() const noexcept { return now_; }
 
   // Schedule `cb` to run at absolute time `when` (clamped to now()).
-  // Returns an id usable with cancel().
+  // Returns a nonzero id usable with cancel(), unique over this scheduler's
+  // lifetime (restore_state included).
   std::uint64_t at(SimTime when, Callback cb);
 
   // Schedule `cb` to run `delay` seconds from now.
@@ -44,7 +52,8 @@ class Scheduler {
     return at(now_ + delay, std::move(cb));
   }
 
-  // Cancel a pending event. Returns false if already fired or unknown.
+  // Cancel a pending event. Returns false if already fired, cancelled or
+  // unknown; never touches a later event that reused the slot.
   bool cancel(std::uint64_t id);
 
   // Run until the queue drains or `until` is reached (whichever first).
@@ -95,7 +104,14 @@ class Scheduler {
   struct Event {
     SimTime when;
     std::uint64_t seq;  // tie-break: FIFO among equal timestamps
-    std::uint64_t id;
+    std::uint64_t id;   // (generation << 32) | slot
+  };
+  // One callback slot. `generation` advances every time the slot is freed,
+  // so it is odd while the slot holds a pending callback and even while it
+  // is on the free list.
+  struct Slot {
+    Callback cb;
+    std::uint32_t generation = 0;
   };
   struct Later {
     bool operator()(const Event& a, const Event& b) const noexcept {
@@ -103,6 +119,18 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
+
+  static std::uint64_t make_id(std::uint32_t slot, std::uint32_t gen) noexcept {
+    return (static_cast<std::uint64_t>(gen) << 32) | slot;
+  }
+  // True while the event `id` names is still pending.
+  bool live(std::uint64_t id) const noexcept {
+    const auto slot = static_cast<std::uint32_t>(id);
+    return slot < slots_.size() &&
+           slots_[slot].generation == static_cast<std::uint32_t>(id >> 32);
+  }
+  // Retire a live slot: bump its generation and put it on the free list.
+  void free_slot(std::uint32_t slot);
 
   // Drop tombstones off the heap top so heap_.front() (if any) is live.
   void prune_top();
@@ -113,7 +141,6 @@ class Scheduler {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t cancelled_ = 0;
   std::uint64_t compactions_ = 0;
@@ -122,9 +149,12 @@ class Scheduler {
   // Binary heap (std::push_heap/pop_heap with Later) rather than
   // std::priority_queue: compaction needs to filter the container in place.
   std::vector<Event> heap_;
-  // id -> callback; erased on fire/cancel. Cancelled events stay in the
-  // heap as tombstones until popped or compacted away.
-  std::unordered_map<std::uint64_t, Callback> callbacks_;
+  // Callback slots indexed by the low half of an event id, plus the free
+  // list of retired slots. Cancelled events stay in the heap as tombstones
+  // (their id no longer matches the slot's generation) until popped or
+  // compacted away.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace lg::util

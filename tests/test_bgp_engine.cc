@@ -261,40 +261,26 @@ TEST_F(EngineTest, ResetCountersZeroesObsCounters) {
             engine_.total_messages());
 }
 
-TEST(SessionPrefixKeyHashTest, HashCombineBreaksXorCollisionFamily) {
-  // The pre-hash_combine implementation was
-  //   H(session) ^ (PrefixHash(prefix) * 0x9e3779b97f4a7c15)
-  // which collides deterministically for any pair of keys whose session
-  // hashes differ by exactly the XOR of the two prefix terms. Build such a
-  // pair and check the shipped hash separates it.
-  using Key = bgp::BgpEngine::SessionPrefixKey;
-  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
-  const auto old_hash = [&](const Key& k) {
-    return std::hash<std::uint64_t>{}(k.session) ^
-           (topo::PrefixHash{}(k.prefix) * kGolden);
-  };
-
-  const topo::Prefix p1(0x0a000000u, 24);
-  const topo::Prefix p2(0x0a000100u, 24);
-  const std::uint64_t m1 = topo::PrefixHash{}(p1) * kGolden;
-  const std::uint64_t m2 = topo::PrefixHash{}(p2) * kGolden;
-
-  const std::uint64_t s1 = (77ull << 32) | 42ull;
-  const Key k1{s1, p1};
-  // libstdc++'s std::hash<uint64_t> is the identity, so this session value
-  // makes the old hash collide with k1 by construction.
-  const Key k2{s1 ^ m1 ^ m2, p2};
-  ASSERT_NE(k1, k2);
-  ASSERT_EQ(old_hash(k1), old_hash(k2)) << "collision premise broken";
-
-  const bgp::BgpEngine::SessionPrefixKeyHash h;
-  EXPECT_NE(h(k1), h(k2));
-
-  // And distinct sane keys (same session, different prefixes — the MRAI
-  // map's common case) keep distinct hashes too.
-  const Key a{s1, p1};
-  const Key b{s1, p2};
-  EXPECT_NE(h(a), h(b));
+// At a quiesced fixpoint every export diff against Adj-RIB-Out is empty, so
+// re-running the export step sends nothing — also with several prefixes
+// interned in an order unrelated to their Prefix order, and after a
+// poisoned re-announcement and a withdrawal.
+TEST_F(EngineTest, ReexportAllOnQuiescedEngineSendsNothing) {
+  originate_default(topo_.e);
+  originate_default(topo_.o);
+  originate_default(topo_.a);
+  sched_.run();
+  bgp::OriginPolicy poisoned;
+  poisoned.default_path = bgp::AsPath{topo_.o, topo_.a, topo_.o};
+  engine_.originate(topo_.o, topo::AddressPlan::production_prefix(topo_.o),
+                    std::move(poisoned));
+  engine_.withdraw(topo_.e, topo::AddressPlan::production_prefix(topo_.e));
+  sched_.run();
+  const std::uint64_t before = engine_.total_messages();
+  ASSERT_GT(before, 0u);
+  engine_.reexport_all();
+  sched_.run();
+  EXPECT_EQ(engine_.total_messages(), before);
 }
 
 }  // namespace

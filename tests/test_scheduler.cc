@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 namespace lg::util {
@@ -146,8 +147,17 @@ TEST(SchedulerTest, CancelChurnKeepsQueueDepthBounded) {
   std::size_t high_water = 0;
   std::uint64_t watchdog = 0;
   for (int round = 0; round < 100000; ++round) {
-    if (watchdog != 0) sched.cancel(watchdog);
+    const std::uint64_t previous = watchdog;
+    if (watchdog != 0) {
+      EXPECT_TRUE(sched.cancel(watchdog));
+    }
     watchdog = sched.at(1e7 + round, [] { FAIL() << "cancelled watchdog fired"; });
+    // The re-armed watchdog reuses the cancelled one's slot, but under a new
+    // id: the stale id must stay dead.
+    EXPECT_NE(watchdog, previous);
+    if (previous != 0) {
+      EXPECT_FALSE(sched.cancel(previous));
+    }
     high_water = std::max(high_water, sched.queue_depth());
   }
   // 8 survivors + 1 live watchdog, plus at most max(64, live) + 1 tombstones
@@ -158,6 +168,70 @@ TEST(SchedulerTest, CancelChurnKeepsQueueDepthBounded) {
   sched.cancel(watchdog);
   sched.run();
   EXPECT_EQ(fired, 8);  // survivors unharmed by compaction
+}
+
+// Regression for slot reuse: a fired event's slot is recycled by the next
+// at(), and cancelling the fired event's (stale) id must neither report
+// success nor cancel the new occupant.
+TEST(SchedulerTest, CancelOfFiredIdLeavesSlotReuserAlone) {
+  Scheduler sched;
+  int first = 0;
+  int second = 0;
+  const std::uint64_t a = sched.at(1.0, [&] { ++first; });
+  EXPECT_TRUE(sched.step());
+  EXPECT_EQ(first, 1);
+  const std::uint64_t b = sched.at(2.0, [&] { ++second; });
+  EXPECT_NE(a, b);
+  EXPECT_FALSE(sched.cancel(a));
+  EXPECT_EQ(sched.pending(), 1u);
+  EXPECT_EQ(sched.cancelled(), 0u);
+  sched.run();
+  EXPECT_EQ(second, 1);
+  EXPECT_FALSE(sched.cancel(b));  // fired ids stay dead too
+}
+
+// Same for an id that was cancelled, not fired: its slot is reused at once.
+TEST(SchedulerTest, CancelledIdNeverMatchesSlotReuser) {
+  Scheduler sched;
+  bool fired = false;
+  const std::uint64_t a = sched.at(1.0, [] { FAIL() << "cancelled event fired"; });
+  EXPECT_TRUE(sched.cancel(a));
+  const std::uint64_t b = sched.at(1.0, [&] { fired = true; });
+  EXPECT_NE(a, b);
+  EXPECT_FALSE(sched.cancel(a));
+  sched.run();
+  EXPECT_TRUE(fired);
+}
+
+// Ids are nonzero (callers use 0 as "no timer") and never repeat over the
+// scheduler's lifetime, a checkpoint restore included: restore_state keeps
+// the slot generations, so a pre-restore id cannot name a post-restore event.
+TEST(SchedulerTest, IdsStayNonzeroAndUniqueAcrossRestore) {
+  Scheduler sched;
+  std::set<std::uint64_t> ids;
+  auto schedule_batch = [&](double at) {
+    for (int i = 0; i < 50; ++i) {
+      const std::uint64_t id = sched.at(at + i, [] {});
+      EXPECT_NE(id, 0u);
+      EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
+    }
+  };
+  schedule_batch(1.0);
+  std::uint64_t stale = 0;
+  for (std::uint64_t id : ids) {
+    if (stale == 0) {
+      stale = id;
+      EXPECT_TRUE(sched.cancel(id));
+    }
+  }
+  sched.run();
+  const Scheduler::State st = sched.save_state();
+  sched.restore_state(st);
+  schedule_batch(sched.now() + 1.0);
+  EXPECT_FALSE(sched.cancel(stale));
+  EXPECT_EQ(sched.pending(), 50u);
+  sched.run();
+  EXPECT_EQ(ids.size(), 100u);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 //  * fleet/checkpoint: metrics / span / trace registry round-trips restore
 //    saved contents verbatim;
 //  * bgp/snapshot: a quiesced engine re-serializes byte-identically after a
-//    load into a fresh engine over the same topology.
+//    load into a fresh engine over the same topology; a restore into an
+//    engine that interned its prefixes in another order continues
+//    byte-identically; a blob of an older format version is rejected.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,9 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "bgp/engine.h"
 #include "bgp/types.h"
 #include "fleet/checkpoint.h"
 #include "topology/addressing.h"
+#include "topology/generator.h"
 #include "util/codec.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
@@ -256,6 +260,100 @@ TEST(EngineSnapshotTest, QuiescedEngineReserializesByteIdentically) {
   util::BinWriter w2;
   fresh.engine().save_snapshot(w2);
   EXPECT_EQ(blob, w2.blob()) << "snapshot does not round-trip bit-exactly";
+}
+
+// PrefixIds are engine-internal: a restoring engine that interned other
+// prefixes first, in another order, numbers every prefix differently. The
+// snapshot keys by Prefix, so the continued run must still be
+// byte-identical to the uninterrupted one.
+TEST(EngineSnapshotTest, RestoreIgnoresPrefixIdOrder) {
+  topo::TopologyParams tp;
+  tp.num_stubs = 40;
+  tp.seed = 11;
+  const topo::GeneratedTopology topo = topo::generate_topology(tp);
+  const std::vector<topo::AsId>& stubs = topo.stubs;
+  ASSERT_GE(stubs.size(), 6u);
+  const auto prefix_of = [](topo::AsId as) {
+    return topo::AddressPlan::production_prefix(as);
+  };
+  const auto announce = [&](bgp::BgpEngine& e, topo::AsId as) {
+    bgp::OriginPolicy pol;
+    pol.default_path = bgp::AsPath{as, as, as};
+    e.originate(as, prefix_of(as), std::move(pol));
+  };
+  // The part of the run after the checkpoint: a poisoned re-announcement,
+  // a withdrawal, and a prefix neither engine has seen yet.
+  const auto continue_run = [&](bgp::BgpEngine& e, util::Scheduler& sched) {
+    bgp::OriginPolicy poisoned;
+    poisoned.default_path = bgp::PathRef(
+        bgp::poisoned_path(stubs[2], {topo.tier1.front()}, 3));
+    e.originate(stubs[2], prefix_of(stubs[2]), std::move(poisoned));
+    e.withdraw(stubs[0], prefix_of(stubs[0]));
+    announce(e, stubs[5]);
+    sched.run();
+  };
+
+  bgp::EngineConfig cfg;
+  cfg.seed = 5;
+  util::Scheduler sched_a;
+  bgp::BgpEngine a(topo.graph, sched_a, cfg);
+  for (std::size_t i = 0; i < 4; ++i) announce(a, stubs[i]);
+  sched_a.run();
+  util::BinWriter checkpoint;
+  a.save_snapshot(checkpoint);
+  const util::Scheduler::State sched_state = sched_a.save_state();
+  continue_run(a, sched_a);
+  util::BinWriter uninterrupted;
+  a.save_snapshot(uninterrupted);
+
+  util::Scheduler sched_b;
+  bgp::BgpEngine b(topo.graph, sched_b, cfg);
+  // Intern the continuation's new prefix first, then the checkpointed ones
+  // in reverse, plus one prefix the snapshot never mentions.
+  b.withdraw(stubs[5], prefix_of(stubs[5]));
+  b.withdraw(stubs[4], prefix_of(stubs[4]));
+  for (std::size_t i = 4; i-- > 0;) b.withdraw(stubs[i], prefix_of(stubs[i]));
+  sched_b.run();
+  util::BinReader r(checkpoint.blob());
+  b.load_snapshot(r);
+  sched_b.restore_state(sched_state);
+  continue_run(b, sched_b);
+  util::BinWriter continued;
+  b.save_snapshot(continued);
+
+  EXPECT_EQ(a.total_messages(), b.total_messages());
+  for (const topo::AsId as : topo.graph.as_ids()) {
+    for (const topo::AsId origin : stubs) {
+      const bgp::Route* ra = a.best_route(as, prefix_of(origin));
+      const bgp::Route* rb = b.best_route(as, prefix_of(origin));
+      ASSERT_EQ(ra == nullptr, rb == nullptr) << "AS " << as;
+      if (ra != nullptr) {
+        EXPECT_EQ(*ra, *rb) << "AS " << as;
+      }
+    }
+  }
+  EXPECT_EQ(uninterrupted.blob(), continued.blob())
+      << "continuation after restore diverged";
+}
+
+// The v3 layout (dense hot path) is not readable as v2 and vice versa: an
+// old blob must be refused up front, not misparsed.
+TEST(EngineSnapshotTest, RejectsOlderFormatVersion) {
+  workload::SimWorld world(workload::SimWorld::small_config(7));
+  util::BinWriter w;
+  world.engine().save_snapshot(w);
+  std::string blob = w.take();
+  ASSERT_GE(blob.size(), 8u);
+  // Section header: u32 tag, then u32 version (little endian).
+  std::uint32_t version = 0;
+  std::memcpy(&version, blob.data() + 4, sizeof(version));
+  EXPECT_EQ(version, 3u);
+  const std::uint32_t old_version = 2;
+  std::memcpy(blob.data() + 4, &old_version, sizeof(old_version));
+
+  workload::SimWorld fresh(workload::SimWorld::small_config(7));
+  util::BinReader r(blob);
+  EXPECT_THROW(fresh.engine().load_snapshot(r), std::runtime_error);
 }
 
 }  // namespace
