@@ -18,11 +18,10 @@
 //      (ValleyFreeOracle)? Paper: alternates existed for 49% of outages
 //      overall, 83% of those lasting >= 1 h.
 //
-// Determinism contract: stdout and BENCH_internet_scale.json are
-// byte-identical for every LG_THREADS/LG_WORLD_THREADS value (CI diffs
-// them); wall time and RSS — the nondeterministic readings — go to stderr
-// only. LG_RSS_CEILING_MB=<n> turns the peak-RSS reading into an exit-code
-// gate for CI.
+// Determinism contract: stdout and BENCH_internet_scale.json depend only on
+// the fixed seeds; wall time and RSS — the nondeterministic readings — go to
+// stderr only. LG_RSS_CEILING_MB=<n> turns the peak-RSS reading into an
+// exit-code gate for CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>

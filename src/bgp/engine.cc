@@ -2,23 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <stdexcept>
 
 #include "adversary/adversary_plane.h"
 #include "faults/fault_plane.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/thread_pool.h"
 
 namespace lg::bgp {
-
-namespace {
-// Below this many receivers in a frontier the fan-out overhead (submit +
-// wake + join) exceeds the decision-process work; run phase 1 inline. A
-// constant independent of the worker count, so it never affects results.
-constexpr std::size_t kMinParallelReceivers = 4;
-}  // namespace
 
 BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
                      EngineConfig cfg)
@@ -72,12 +63,6 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
-  work_slot_.assign(n, kNoIndex);
-
-  world_threads_ =
-      cfg_.world_threads != 0
-          ? cfg_.world_threads
-          : (util::in_parallel_region() ? 1 : world_threads_from_env());
 
   // Peerlock locked set: computed unconditionally (cheap const queries
   // against the immutable graph) so every speaker always holds the pointer;
@@ -117,18 +102,6 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
 }
 
 BgpEngine::~BgpEngine() = default;
-
-std::size_t BgpEngine::world_threads_from_env() {
-  return util::thread_count_from_env("LG_WORLD_THREADS", 1);
-}
-
-util::ThreadPool* BgpEngine::world_pool() {
-  if (world_threads_ <= 1) return nullptr;
-  if (!world_pool_) {
-    world_pool_ = std::make_unique<util::ThreadPool>(world_threads_);
-  }
-  return world_pool_.get();
-}
 
 std::uint32_t BgpEngine::index_of(AsId id) const noexcept {
   if (!sparse_index_.empty()) {
@@ -389,104 +362,6 @@ void BgpEngine::enqueue_delivery(double due, UpdateMessage msg) {
   }
 }
 
-void BgpEngine::process_receiver(ReceiverWork& w,
-                                 const std::vector<UpdateMessage>& msgs,
-                                 double now) {
-  BgpSpeaker& receiver = speakers_[w.receiver];
-  const bool faults_on = faults_->enabled();
-  // With a single message there is nothing to net out: the frontier outcome
-  // is exactly the per-event outcome, so skip the best-route snapshot and
-  // the post-loop value comparison (the dominant case in sparse phases of
-  // convergence, where copying Routes would swamp the import itself).
-  const bool single = w.msg_indices.size() == 1;
-  w.outcomes.resize(w.msg_indices.size());
-  for (std::size_t k = 0; k < w.msg_indices.size(); ++k) {
-    const UpdateMessage& msg = msgs[w.msg_indices[k]];
-    MsgOutcome& out = w.outcomes[k];
-    // Fault plane: the session reset while this update was in flight. Model
-    // TCP/session recovery by re-queueing delivery for when it comes back
-    // up; any newer state sent after restoration diffs against adj-out and
-    // supersedes this message shortly after. (session_up/restored_at are
-    // pure reads — the bookkeeping hit is recorded in the merge phase.)
-    if (faults_on && !faults_->session_up(msg.from, msg.to, now)) {
-      out.kind = MsgOutcome::kRequeue;
-      out.requeue_at =
-          faults_->session_restored_at(msg.from, msg.to, now) + 1e-3;
-      continue;
-    }
-    // Fault-plane requeues can reorder deliveries on a session: an update
-    // requeued across a reset lands at the same quantum the post-restore
-    // adj-out retransmit uses, so without this check a stale announce could
-    // be applied after (or instead of) the fresh diff and pin the receiver
-    // to an outdated path until the next unrelated update. Sequence numbers
-    // are per-(session, prefix) and monotone at the sender, so anything at
-    // or below the last applied seq is superseded. The applied seq lives in
-    // the receiver's own row (the reverse session), so this stays
-    // thread-confined.
-    if (faults_on) {
-      std::uint32_t& applied =
-          mrai_[msg.prefix_id][sess_base_[w.receiver] + msg.to_slot]
-              .applied_seq;
-      if (msg.seq <= applied) {
-        out.kind = MsgOutcome::kStale;
-        continue;
-      }
-      applied = static_cast<std::uint32_t>(msg.seq);
-    }
-    out.kind = MsgOutcome::kDelivered;
-    if (single) {
-      out.best_changed =
-          receiver.process_update(msg, msg.prefix_id, msg.to_slot, now);
-      if (out.best_changed) {
-        PrefixTouch touch;
-        touch.prefix = msg.prefix_id;
-        touch.any_changed = true;
-        touch.net_changed = true;
-        w.prefixes.push_back(std::move(touch));
-      }
-      if (receiver.config().damping_enabled) {
-        out.damping_delay =
-            receiver.damping_reuse_delay(msg.prefix_id, msg.to_slot, now);
-      }
-      continue;
-    }
-    // Snapshot the pre-frontier best on first touch of each prefix, so the
-    // merge phase can detect *net* route changes across the whole frontier.
-    std::size_t touch_idx = w.prefixes.size();
-    for (std::size_t t = 0; t < w.prefixes.size(); ++t) {
-      if (w.prefixes[t].prefix == msg.prefix_id) {
-        touch_idx = t;
-        break;
-      }
-    }
-    if (touch_idx == w.prefixes.size()) {
-      PrefixTouch touch;
-      touch.prefix = msg.prefix_id;
-      if (const Route* best = receiver.best_route(msg.prefix_id)) {
-        touch.before = *best;
-      }
-      w.prefixes.push_back(std::move(touch));
-    }
-    out.best_changed =
-        receiver.process_update(msg, msg.prefix_id, msg.to_slot, now);
-    if (out.best_changed) w.prefixes[touch_idx].any_changed = true;
-    // Flap damping: if this session is suppressed, the merge phase arranges
-    // a re-evaluation once the penalty decays to the reuse threshold.
-    if (receiver.config().damping_enabled) {
-      out.damping_delay =
-          receiver.damping_reuse_delay(msg.prefix_id, msg.to_slot, now);
-    }
-  }
-  if (single) return;  // net_changed already decided above
-  for (PrefixTouch& touch : w.prefixes) {
-    const Route* cur = receiver.best_route(touch.prefix);
-    const bool same =
-        (cur == nullptr && !touch.before.has_value()) ||
-        (cur != nullptr && touch.before.has_value() && *cur == *touch.before);
-    touch.net_changed = touch.any_changed && !same;
-  }
-}
-
 void BgpEngine::pump_frontier(std::int64_t bucket) {
   const auto fit = frontier_.find(bucket);
   if (fit == frontier_.end()) return;
@@ -494,134 +369,136 @@ void BgpEngine::pump_frontier(std::int64_t bucket) {
   frontier_.erase(fit);
   const double now = sched_->now();
 
-  // Group messages by receiver. Per-receiver arrival order is preserved in
-  // msg_indices; cross-receiver order is irrelevant because receivers only
-  // mutate their own state in phase 1 and the merge runs in AS-index order.
-  if (work_slot_.size() < speakers_.size()) {
-    work_slot_.assign(speakers_.size(), kNoIndex);
-  }
-  work_used_ = 0;
-  work_order_.clear();
+  // One key per message, receiver AS index above arrival index: sorted, the
+  // keys list each receiver's run in arrival order, receivers in AS-index
+  // order. No receiver's import reads what an earlier receiver's delivery
+  // wrote (that receiver's Adj-RIB-Out and MRAI rows, the RNG, counters),
+  // and sends made during the pass go to frontier_, never into `msgs`.
+  order_.clear();
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
-    const std::uint32_t r = checked_index(msgs[i].to);
-    std::uint32_t slot = work_slot_[r];
-    if (slot == kNoIndex) {
-      slot = static_cast<std::uint32_t>(work_used_++);
-      if (slot == work_.size()) work_.emplace_back();
-      work_[slot].reset(r);
-      work_slot_[r] = slot;
-      work_order_.push_back(slot);
-    }
-    work_[slot].msg_indices.push_back(i);
+    order_.push_back(
+        static_cast<std::uint64_t>(checked_index(msgs[i].to)) << 32 | i);
   }
-  std::sort(work_order_.begin(), work_order_.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return work_[a].receiver < work_[b].receiver;
-            });
-
-  // ---- Phase 1: per-receiver import/decision, fanned out when it pays.
-  // Workers touch disjoint ReceiverWork slots and disjoint speakers; no
-  // RNG, scheduler, metrics, or fault mutation happens here.
-  util::ThreadPool* pool = world_pool();
-  if (pool != nullptr && work_order_.size() >= kMinParallelReceivers) {
-    const std::size_t jobs =
-        std::min(world_threads_ * 2, work_order_.size());
-    const std::size_t per_job = (work_order_.size() + jobs - 1) / jobs;
-    std::vector<std::exception_ptr> errors(jobs);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      const std::size_t lo = j * per_job;
-      const std::size_t hi = std::min(lo + per_job, work_order_.size());
-      if (lo >= hi) break;
-      pool->submit([this, &msgs, &errors, j, lo, hi, now] {
-        try {
-          for (std::size_t g = lo; g < hi; ++g) {
-            process_receiver(work_[work_order_[g]], msgs, now);
-          }
-        } catch (...) {
-          errors[j] = std::current_exception();
-        }
-      });
-    }
-    pool->wait_idle();
-    for (const std::exception_ptr& err : errors) {
-      if (err) std::rethrow_exception(err);
-    }
-  } else {
-    for (const std::uint32_t slot : work_order_) {
-      process_receiver(work_[slot], msgs, now);
-    }
-  }
-
-  // ---- Phase 2: deterministic merge, receivers in AS-index order, each
-  // receiver's messages in arrival order. Every side effect the old
-  // event-at-a-time pump performed per delivery happens here, in an order
-  // that never depends on the worker count.
+  std::sort(order_.begin(), order_.end());
   std::size_t terminal = 0;
-  for (const std::uint32_t slot : work_order_) {
-    ReceiverWork& w = work_[slot];
-    for (std::size_t k = 0; k < w.msg_indices.size(); ++k) {
-      UpdateMessage& msg = msgs[w.msg_indices[k]];
-      const MsgOutcome& out = w.outcomes[k];
-      switch (out.kind) {
-        case MsgOutcome::kRequeue:
-          faults_->note_session_hit(msg.from, msg.to, now);
-          enqueue_delivery(out.requeue_at, std::move(msg));
-          break;
-        case MsgOutcome::kStale:
-          c_updates_stale_dropped_->inc();
-          trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
-                         msg.to);
-          ++terminal;
-          break;
-        case MsgOutcome::kDelivered: {
-          last_activity_ = now;
-          ++delivered_total_;
-          c_updates_delivered_->inc();
-          trace_->record(now, obs::TraceKind::kUpdateDelivered, msg.from,
-                         msg.to);
-          if (out.best_changed) {
-            ++best_changes_[w.receiver];
-            c_best_path_changes_->inc();
-            trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
-          }
-          if (out.damping_delay) {
-            const std::uint32_t to = w.receiver;
-            const std::uint32_t from_slot = msg.to_slot;
-            const PrefixId prefix = msg.prefix_id;
-            sched_->after(*out.damping_delay + 0.001,
-                          [this, to, from_slot, prefix] {
-              if (speakers_[to].recheck_damping(prefix, from_slot,
-                                                sched_->now())) {
-                ++best_changes_[to];
-                c_best_path_changes_->inc();
-                trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
-                               as_ids_[to]);
-                notify(to, prefix);
-                schedule_exports(to, prefix);
-              }
-            });
-          }
-          ++terminal;
-          break;
-        }
-      }
-    }
-    // Notify + export once per (receiver, prefix) with a *net* best-route
-    // change: a frontier that flip-flops a best route inside one quantum
-    // produces no spurious route event and no export churn.
-    for (const PrefixTouch& touch : w.prefixes) {
-      if (touch.net_changed) {
-        notify(w.receiver, touch.prefix);
-        schedule_exports(w.receiver, touch.prefix);
-      }
-    }
-    work_slot_[w.receiver] = kNoIndex;
+  for (std::size_t lo = 0; lo < order_.size();) {
+    const auto to = static_cast<std::uint32_t>(order_[lo] >> 32);
+    std::size_t hi = lo + 1;
+    while (hi < order_.size() && (order_[hi] >> 32) == to) ++hi;
+    terminal += deliver_run(to, msgs, lo, hi, now);
+    lo = hi;
   }
   // Terminal messages leave flight only after the cascade above: any exports
   // this frontier triggered are already counted, so a still-busy pump span
   // stays open across back-to-back frontiers.
   for (; terminal > 0; --terminal) delivery_done();
   msg_pool_.release(std::move(msgs));
+}
+
+std::size_t BgpEngine::deliver_run(std::uint32_t to,
+                                   std::vector<UpdateMessage>& msgs,
+                                   std::size_t first, std::size_t last,
+                                   double now) {
+  BgpSpeaker& receiver = speakers_[to];
+  const bool faults_on = faults_->enabled();
+  // With a single message there is nothing to net out: the frontier outcome
+  // is exactly the per-event outcome, so skip the best-route snapshot and
+  // the post-loop value comparison (the dominant case in sparse phases of
+  // convergence, where copying Routes would swamp the import itself).
+  const bool single = last - first == 1;
+  touched_.clear();
+  std::size_t terminal = 0;
+  for (std::size_t k = first; k < last; ++k) {
+    UpdateMessage& msg = msgs[static_cast<std::uint32_t>(order_[k])];
+    // Fault plane: the session reset while this update was in flight. Model
+    // TCP/session recovery by re-queueing delivery for when it comes back
+    // up; any newer state sent after restoration diffs against adj-out and
+    // supersedes this message shortly after.
+    if (faults_on && !faults_->session_up(msg.from, msg.to, now)) {
+      const double at = faults_->session_restored_at(msg.from, msg.to, now);
+      faults_->note_session_hit(msg.from, msg.to, now);
+      enqueue_delivery(at + 1e-3, std::move(msg));
+      continue;
+    }
+    ++terminal;
+    // Fault-plane requeues can reorder deliveries on a session: an update
+    // requeued across a reset lands at the same quantum the post-restore
+    // adj-out retransmit uses, so without this check a stale announce could
+    // be applied after (or instead of) the fresh diff and pin the receiver
+    // to an outdated path until the next unrelated update. Sequence numbers
+    // are per-(session, prefix) and monotone at the sender, so anything at
+    // or below the last applied seq is superseded. The applied seq lives in
+    // the receiver's own row (the reverse session).
+    if (faults_on) {
+      std::uint32_t& applied =
+          mrai_[msg.prefix_id][sess_base_[to] + msg.to_slot].applied_seq;
+      if (msg.seq <= applied) {
+        c_updates_stale_dropped_->inc();
+        trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
+                       msg.to);
+        continue;
+      }
+      applied = static_cast<std::uint32_t>(msg.seq);
+    }
+    // Snapshot the pre-frontier best on first touch of each prefix, so the
+    // loop below can detect *net* route changes across the whole frontier.
+    std::size_t t = 0;
+    while (t < touched_.size() && touched_[t].prefix != msg.prefix_id) ++t;
+    if (t == touched_.size()) {
+      touched_.push_back(PrefixTouch{msg.prefix_id});
+      if (!single) {
+        if (const Route* best = receiver.best_route(msg.prefix_id)) {
+          touched_.back().before = *best;
+        }
+      }
+    }
+    const bool changed =
+        receiver.process_update(msg, msg.prefix_id, msg.to_slot, now);
+    last_activity_ = now;
+    ++delivered_total_;
+    c_updates_delivered_->inc();
+    trace_->record(now, obs::TraceKind::kUpdateDelivered, msg.from, msg.to);
+    if (changed) {
+      touched_[t].any_changed = true;
+      ++best_changes_[to];
+      c_best_path_changes_->inc();
+      trace_->record(now, obs::TraceKind::kBestPathChange, msg.to);
+    }
+    // Flap damping: if this session is suppressed, re-evaluate once the
+    // penalty decays to the reuse threshold.
+    if (!receiver.config().damping_enabled) continue;
+    const std::optional<double> reuse =
+        receiver.damping_reuse_delay(msg.prefix_id, msg.to_slot, now);
+    if (!reuse) continue;
+    const std::uint32_t from_slot = msg.to_slot;
+    const PrefixId prefix = msg.prefix_id;
+    sched_->after(*reuse + 0.001, [this, to, from_slot, prefix] {
+      if (speakers_[to].recheck_damping(prefix, from_slot, sched_->now())) {
+        ++best_changes_[to];
+        c_best_path_changes_->inc();
+        trace_->record(sched_->now(), obs::TraceKind::kBestPathChange,
+                       as_ids_[to]);
+        notify(to, prefix);
+        schedule_exports(to, prefix);
+      }
+    });
+  }
+  // Notify + export once per prefix with a *net* best-route change: a
+  // frontier that flip-flops a best route inside one quantum produces no
+  // spurious route event and no export churn.
+  for (const PrefixTouch& touch : touched_) {
+    if (!touch.any_changed) continue;
+    if (!single) {
+      const Route* cur = receiver.best_route(touch.prefix);
+      if (cur == nullptr ? !touch.before.has_value()
+                         : touch.before.has_value() && *cur == *touch.before) {
+        continue;
+      }
+    }
+    notify(to, touch.prefix);
+    schedule_exports(to, touch.prefix);
+  }
+  return terminal;
 }
 
 void BgpEngine::notify(std::uint32_t as, PrefixId prefix) {

@@ -9,21 +9,11 @@
 // Deliveries run through a *frontier pump*: every in-flight update is
 // assigned to the first quantum boundary at or after its arrival time
 // (EngineConfig::pump_quantum), and all updates landing in the same quantum
-// form one frontier. A frontier is processed in two phases:
-//
-//  1. per-receiver import/decision — each receiving speaker applies its
-//     frontier updates in arrival order, mutating only its own state. This
-//     phase is side-effect-free outside the speaker (no RNG, no scheduler,
-//     no metrics), so it can fan out across LG_WORLD_THREADS pool workers;
-//  2. a deterministic merge on the pump thread, in AS-index order — counters,
-//     traces, fault bookkeeping, route-change notifications, and the
-//     triggered exports (which draw MRAI/link-delay randomness) all happen
-//     here, in an order that never depends on the worker count.
-//
-// Consequence: stdout, run reports, trace rings, and span trees are
-// byte-identical for any LG_WORLD_THREADS value, while the decision-process
-// work — the dominant cost on large topologies — scales across cores. See
-// DESIGN.md "Parallel intra-world convergence".
+// form one frontier. A frontier is one serial pass over its receivers in
+// AS-index order, each receiver's updates in arrival order: import, then
+// counters, traces, fault bookkeeping and damping rechecks per update, then
+// one route-change notification and export per prefix whose best route
+// changed *net* across the frontier. See DESIGN.md "Frontier pump".
 //
 // Dense keys on the hot path. Every prefix is interned once into a PrefixId
 // (originate/withdraw), and every directed session has a dense index in a
@@ -39,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -66,7 +55,6 @@ class AdversaryPlane;
 }  // namespace lg::adversary
 
 namespace lg::util {
-class ThreadPool;
 class BinWriter;
 class BinReader;
 }  // namespace lg::util
@@ -81,15 +69,9 @@ struct EngineConfig {
   std::uint64_t seed = 7;
   // Frontier quantum: an update arriving at t is delivered at the first
   // multiple of pump_quantum >= t, batching same-quantum arrivals into one
-  // frontier. Part of the simulation semantics (identical at every thread
-  // count); keep it below link_delay_min so cross-session ordering stays
-  // delay-driven.
+  // frontier. Part of the simulation semantics; keep it below
+  // link_delay_min so cross-session ordering stays delay-driven.
   double pump_quantum = 0.005;
-  // Worker threads for the per-receiver phase of each frontier. 0 resolves
-  // LG_WORLD_THREADS (default 1) and degrades to 1 inside a parallel trial
-  // region (util::in_parallel_region), so trial- and world-level pools
-  // compose without oversubscription. The value never changes results.
-  std::size_t world_threads = 0;
 };
 
 // Fired whenever a speaker's best route for a prefix changes (equivalently:
@@ -121,9 +103,6 @@ class BgpEngine {
   BgpSpeaker& speaker(AsId id);
   const BgpSpeaker& speaker(AsId id) const;
 
-  // Resolved LG_WORLD_THREADS value (>= 1).
-  static std::size_t world_threads_from_env();
-
   // The Peerlock locked set (sorted provider-free clique) this engine
   // computed and installed into every speaker; the invariant checker
   // replicates the filter from it.
@@ -134,8 +113,6 @@ class BgpEngine {
   // for bench/sec8_adversarial and the adversary tests).
   std::uint64_t pathlen_rejections() const;
   std::uint64_t peerlock_rejections() const;
-  // Effective worker count of this engine's frontier pump.
-  std::size_t world_threads() const noexcept { return world_threads_; }
 
   // ---- Origination control (what BGP-Mux gave the paper's authors) ----
   // (Re)announce `prefix` from `as` under `policy`; triggers propagation.
@@ -211,43 +188,19 @@ class BgpEngine {
     // Monotone send counter stamped into every UpdateMessage on this
     // session, so delivery can reject superseded in-flight updates.
     std::uint32_t next_seq = 0;
-    // Highest seq applied from the peer on the reverse session. Written
-    // only by the owning AS's phase-1 worker (the entry is in its own row)
-    // and only when the fault plane is on, the one source of reordering.
+    // Highest seq applied from the peer on the reverse session. Lives in
+    // the receiving AS's own row and is written only when the fault plane
+    // is on, the one source of reordering.
     std::uint32_t applied_seq = 0;
     bool flush_scheduled = false;
   };
 
-  // ---- Frontier pump plumbing ----
-  // One message's phase-1 verdict, consumed by the merge phase.
-  struct MsgOutcome {
-    enum Kind : std::uint8_t { kDelivered, kStale, kRequeue };
-    Kind kind = kDelivered;
-    bool best_changed = false;
-    double requeue_at = 0.0;  // valid for kRequeue
-    std::optional<double> damping_delay;
-  };
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
   struct PrefixTouch {
     PrefixId prefix = kNoPrefixId;
     std::optional<Route> before;
     bool any_changed = false;
-    bool net_changed = false;
-  };
-  // All frontier work confined to one receiving speaker. Filled by exactly
-  // one pool worker, then read by the merge phase — never shared.
-  struct ReceiverWork {
-    std::uint32_t receiver = 0;              // dense AS index
-    std::vector<std::uint32_t> msg_indices;  // into the frontier, in order
-    std::vector<MsgOutcome> outcomes;
-    std::vector<PrefixTouch> prefixes;       // first-touch order
-    void reset(std::uint32_t r) {
-      receiver = r;
-      msg_indices.clear();
-      outcomes.clear();
-      prefixes.clear();
-    }
   };
 
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
@@ -270,15 +223,16 @@ class BgpEngine {
   // Route the message into its quantum bucket (scheduling the bucket's pump
   // tick if this is the bucket's first message).
   void enqueue_delivery(double due, UpdateMessage msg);
-  // Process one frontier: phase-1 per-receiver import/decision (possibly on
-  // the world pool), then the deterministic AS-index-order merge.
+  // Process one frontier: receivers in AS-index order, each receiver's
+  // messages in arrival order.
   void pump_frontier(std::int64_t bucket);
-  // Phase 1 for one receiver. Thread-confined: touches only that speaker,
-  // its delivered-seq map, and `work` itself.
-  void process_receiver(ReceiverWork& work,
-                        const std::vector<UpdateMessage>& msgs, double now);
-  // Lazily built LG_WORLD_THREADS pool (nullptr when world_threads_ == 1).
-  util::ThreadPool* world_pool();
+  // Deliver one receiver's run, the messages order_[first, last) name, to
+  // AS index `to`: per message the fault-plane gate, import, counters,
+  // traces and damping recheck, then one notify + export per prefix whose
+  // best route changed net. Returns how many messages left flight (all but
+  // the fault-plane requeues).
+  std::size_t deliver_run(std::uint32_t to, std::vector<UpdateMessage>& msgs,
+                          std::size_t first, std::size_t last, double now);
   void notify(std::uint32_t as, PrefixId prefix);
   // Convergence-pump spans: a bgp.pump span covers each maximal period with
   // at least one update in flight (the 0 -> 1 transition opens it, the
@@ -338,16 +292,12 @@ class BgpEngine {
   // Exactly one pump tick is scheduled per live bucket.
   std::unordered_map<std::int64_t, std::vector<UpdateMessage>> frontier_;
   // Retired bucket vectors, recycled by enqueue_delivery so steady-state
-  // pumping allocates no per-bucket storage (LG_MEM_POOL=0 disables reuse).
+  // pumping allocates no per-bucket storage.
   mem::VectorPool<UpdateMessage> msg_pool_;
-  // Reusable pump scratch: receiver -> work-slot mapping, the slot pool, and
-  // the slot order (sorted by AS index before merge).
-  std::vector<std::uint32_t> work_slot_;
-  std::vector<ReceiverWork> work_;
-  std::size_t work_used_ = 0;
-  std::vector<std::uint32_t> work_order_;
-  std::size_t world_threads_ = 1;
-  std::unique_ptr<util::ThreadPool> world_pool_;
+  // Reusable pump scratch: one (receiver AS index << 32 | arrival index)
+  // key per frontier message, and the touched prefixes of one receiver.
+  std::vector<std::uint64_t> order_;
+  std::vector<PrefixTouch> touched_;
 
   std::uint64_t total_messages_ = 0;
   double last_activity_ = 0.0;

@@ -1,14 +1,21 @@
 // BGP engine mechanics: propagation, withdrawal, MRAI batching, split
-// horizon, export policy, counters, and observer plumbing.
+// horizon, export policy, counters, and observer plumbing, plus golden
+// fingerprints of a multi-origin run that pin the frontier pump's output.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <functional>
+#include <iomanip>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "bgp/collector.h"
 #include "bgp/engine.h"
 #include "check/audit.h"
+#include "faults/fault_plane.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "util/scheduler.h"
@@ -281,6 +288,116 @@ TEST_F(EngineTest, ReexportAllOnQuiescedEngineSendsNothing) {
   engine_.reexport_all();
   sched_.run();
   EXPECT_EQ(engine_.total_messages(), before);
+}
+
+// ---- Golden fingerprints ----------------------------------------------
+
+// Runs a fixed multi-origin announce/poison/withdraw script and serializes
+// everything observable about it: best routes, engine counters, metrics and
+// the trace ring.
+std::string run_fingerprint(double fault_intensity) {
+  topo::TopologyParams tp;
+  tp.num_tier1 = 3;
+  tp.num_large_transit = 5;
+  tp.num_small_transit = 8;
+  tp.num_stubs = 40;
+  tp.seed = 424242;
+  const topo::GeneratedTopology gt = topo::generate_topology(tp);
+
+  obs::MetricsRegistry reg;
+  const obs::ScopedMetricsRegistry scoped_reg(reg);
+  obs::TraceRing ring(1 << 16);
+  ring.set_enabled(true);
+  const obs::ScopedTraceRing scoped_ring(ring);
+
+  faults::FaultConfig fc;
+  if (fault_intensity > 0.0) fc = faults::FaultConfig::at_intensity(fault_intensity);
+  fc.seed = 99;
+  faults::FaultPlane plane(fc);
+  const faults::ScopedFaultPlane scoped_plane(plane);
+
+  util::Scheduler sched;
+  bgp::EngineConfig ec;
+  ec.seed = 17;
+  ec.default_mrai = 5.0;
+  bgp::BgpEngine engine(gt.graph, sched, ec);
+
+  const std::vector<AsId> transit = gt.transit();
+  const std::vector<AsId> origins(gt.stubs.begin(), gt.stubs.begin() + 8);
+  std::vector<topo::Prefix> prefixes;
+  double t = 1.0;
+  for (const AsId origin : origins) {
+    const topo::Prefix p = topo::AddressPlan::production_prefix(origin);
+    prefixes.push_back(p);
+    sched.at(t, [&engine, origin, p] {
+      bgp::OriginPolicy policy;
+      policy.default_path = bgp::PathRef(bgp::baseline_path(origin, 2));
+      engine.originate(origin, p, policy);
+    });
+    t += 3.0;
+  }
+  // Mid-run churn: poison from half the origins, then one withdrawal.
+  for (std::size_t i = 0; i < origins.size() / 2; ++i) {
+    const AsId origin = origins[i];
+    const topo::Prefix p = prefixes[i];
+    const AsId poison = transit[i % transit.size()];
+    sched.at(t, [&engine, origin, p, poison] {
+      bgp::OriginPolicy policy;
+      policy.default_path =
+          bgp::PathRef(bgp::poisoned_path(origin, {poison}, 3));
+      engine.originate(origin, p, policy);
+    });
+    t += 7.0;
+  }
+  sched.at(t, [&engine, &origins, &prefixes] {
+    engine.withdraw(origins.back(), prefixes.back());
+  });
+  sched.run(t + 1e6);
+
+  std::ostringstream out;
+  out << std::setprecision(17);
+  out << "quiesced=" << sched.empty() << " msgs=" << engine.total_messages()
+      << " last=" << engine.last_activity_time() << "\n";
+  for (const AsId as : gt.graph.as_ids()) {
+    out << as << " sent=" << engine.messages_sent_by(as)
+        << " bc=" << engine.best_changes_of(as);
+    for (const topo::Prefix& p : prefixes) {
+      if (const bgp::Route* best = engine.best_route(as, p)) {
+        out << " " << p.str() << "=[" << bgp::path_str(best->path)
+            << "]via" << best->neighbor;
+      }
+    }
+    out << "\n";
+  }
+  for (const obs::Counter* c : reg.counters()) {
+    out << c->name() << "=" << c->value() << "\n";
+  }
+  for (const obs::TraceEvent& ev : ring.events()) {
+    out << ev.t << " " << obs::trace_kind_name(ev.kind) << " " << ev.a << " "
+        << ev.b << " " << ev.value << "\n";
+  }
+  return out.str();
+}
+
+std::string fnv1a64_hex(const std::string& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ULL;
+  }
+  std::ostringstream out;
+  out << std::hex << std::setw(16) << std::setfill('0') << h;
+  return out.str();
+}
+
+// Any change to delivery order, import, export or the RNG draw order moves
+// these hashes; a change that means to move them must say why.
+TEST(EngineGoldenTest, AnnouncePoisonWithdrawClean) {
+  EXPECT_EQ(fnv1a64_hex(run_fingerprint(0.0)), "158805aa66b83f44");
+}
+
+TEST(EngineGoldenTest, AnnouncePoisonWithdrawWithFaults) {
+  EXPECT_EQ(fnv1a64_hex(run_fingerprint(0.5)), "f5e345e1bd74fc0a");
 }
 
 }  // namespace

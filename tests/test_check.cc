@@ -304,6 +304,19 @@ TEST(FuzzerTest, CleanSweepTwoHundredSeeds) {
   EXPECT_TRUE(summary.ok()) << "failing seeds:" << seeds;
 }
 
+// The full oracle over 200 seeds at fault intensity 0.5: session resets,
+// loss and delay reordering on every frontier must still converge to the
+// reference fixpoint.
+TEST(FuzzerTest, FaultySweepTwoHundredSeeds) {
+  const auto summary = check::run_sweep(9000, 200, 0.5);
+  EXPECT_EQ(summary.runs, 200u);
+  std::string seeds;
+  for (const auto s : summary.failing_seeds) {
+    seeds += " " + std::to_string(s);
+  }
+  EXPECT_TRUE(summary.ok()) << "failing seeds:" << seeds;
+}
+
 // Same judgment with the fault plane churning the control plane: loss,
 // delay-reordering, and session resets must not change the fixpoint.
 TEST(FuzzerTest, FaultySweepStillReachesTheCleanFixpoint) {
