@@ -34,6 +34,8 @@
 #include "topology/addressing.h"
 #include "topology/generator.h"
 #include "topology/valley_free.h"
+#include "util/env_knobs.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -48,24 +50,18 @@ namespace {
 // thread counts and sessions for the same topology + seed.
 std::uint64_t rib_fingerprint(const bgp::BgpEngine& engine,
                               const topo::AsGraph& graph, const Prefix& p) {
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
+  util::Fnv1a64 h;
   for (const AsId as : graph.as_ids()) {
     const bgp::Route* best = engine.best_route(as, p);
-    mix(as);
+    h.u64(as);
     if (best == nullptr) {
-      mix(0xdeadULL);
+      h.u64(0xdeadULL);
       continue;
     }
-    mix(best->neighbor);
-    for (const AsId hop : best->path.get()) mix(hop);
+    h.u64(best->neighbor);
+    for (const AsId hop : best->path.get()) h.u64(hop);
   }
-  return h;
+  return h.state;
 }
 
 std::size_t count_with_route(const bgp::BgpEngine& engine,
@@ -98,6 +94,9 @@ int main() {
                 "Full AS-graph convergence, memory-lean RIB storage, and the "
                 "paper's primitives at real-Internet size");
   bench::JsonReport jr("internet_scale");
+  // Read up front so a malformed ceiling fails before the long run.
+  const double rss_ceiling_mb =
+      util::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
 
   // ---- topology ----
   const char* file = std::getenv("LG_TOPOLOGY_FILE");
@@ -253,17 +252,16 @@ int main() {
   const double peak_mb =
       static_cast<double>(mem::peak_rss_bytes()) / (1024.0 * 1024.0);
   std::fprintf(stderr, "[internet_scale] peak RSS %.1f MB\n", peak_mb);
-  if (const char* ceiling = std::getenv("LG_RSS_CEILING_MB");
-      ceiling != nullptr && ceiling[0] != '\0') {
-    const double limit = std::atof(ceiling);
-    if (limit > 0.0 && peak_mb > limit) {
+  if (rss_ceiling_mb > 0.0) {
+    if (peak_mb > rss_ceiling_mb) {
       std::fprintf(stderr,
                    "[internet_scale] FAIL: peak RSS %.1f MB exceeds "
                    "LG_RSS_CEILING_MB=%.1f\n",
-                   peak_mb, limit);
+                   peak_mb, rss_ceiling_mb);
       return 1;
     }
-    std::fprintf(stderr, "[internet_scale] RSS ceiling %.1f MB: ok\n", limit);
+    std::fprintf(stderr, "[internet_scale] RSS ceiling %.1f MB: ok\n",
+                 rss_ceiling_mb);
   }
   return 0;
 }

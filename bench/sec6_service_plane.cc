@@ -34,8 +34,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "fleet/env_knobs.h"
 #include "fleet/service_plane.h"
+#include "util/env_knobs.h"
+#include "util/fnv.h"
 #include "util/strings.h"
 #include "util/thread_pool.h"
 
@@ -78,15 +79,6 @@ double rss_mb() {
   return kb / 1024.0;
 }
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 void print_result(const fleet::ServiceResult& result) {
   using O = fleet::EpisodeOutcome;
   bench::section("Streaming service plane — episodes and remediation");
@@ -126,8 +118,9 @@ void print_result(const fleet::ServiceResult& result) {
               return n;
             }()));
   char digest[32];
-  std::snprintf(digest, sizeof(digest), "%016llx",
-                static_cast<unsigned long long>(fnv1a(result.fingerprint())));
+  std::snprintf(
+      digest, sizeof(digest), "%016llx",
+      static_cast<unsigned long long>(util::fnv1a64(result.fingerprint())));
   bench::kv("behaviour digest (FNV-1a)", digest);
 
   bench::section("Time-to-remediate CDF");
@@ -175,9 +168,9 @@ int main() {
 
   // Checkpoint/restore plumbing (all three knobs are operator input:
   // garbage throws a named diagnostic instead of silently running the
-  // default — see fleet/env_knobs.h).
+  // default — see util/env_knobs.h).
   const double checkpoint_at =
-      fleet::env_double_knob("LG_SERVICE_CHECKPOINT_AT", 0.0, 0.0);
+      util::env_double_knob("LG_SERVICE_CHECKPOINT_AT", 0.0, 0.0);
   const char* checkpoint_path_env = std::getenv("LG_SERVICE_CHECKPOINT_PATH");
   const std::string checkpoint_path =
       checkpoint_path_env != nullptr && checkpoint_path_env[0] != '\0'
@@ -244,7 +237,7 @@ int main() {
   std::fprintf(stderr, "[service plane 100k prefixes] steady-state RSS %.1f MB\n",
                rss);
   const double rss_ceiling =
-      fleet::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
+      util::env_double_knob("LG_RSS_CEILING_MB", 0.0, 0.0);
   bool rss_ok = true;
   if (rss_ceiling > 0.0 && rss > rss_ceiling) {
     std::fprintf(stderr,

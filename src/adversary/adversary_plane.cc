@@ -1,12 +1,9 @@
 #include "adversary/adversary_plane.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <stdexcept>
-#include <string>
 
 #include "obs/metrics.h"
+#include "util/env_knobs.h"
 #include "util/rng.h"
 
 namespace lg::adversary {
@@ -20,43 +17,6 @@ constexpr std::uint64_t kTagPathlenLimit = 0x504154484c4d0002ULL;
 constexpr std::uint64_t kTagDefaultRoute = 0x4445465254450003ULL;
 constexpr std::uint64_t kTagPeerlock = 0x504545524c4b0004ULL;
 constexpr std::uint64_t kTagDestabilizer = 0x4445535441420005ULL;
-
-// Strict env parsing, fleet/env_knobs.h style: malformed operator input
-// throws a diagnostic naming the knob, never a silent fallback. Duplicated
-// rather than included — lg_adversary sits below lg_fleet in the layering.
-double env_prevalence_knob(const char* name, double base) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return base;
-  char* end = nullptr;
-  const double n = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    throw std::invalid_argument(std::string(name) +
-                                ": expected a number, got '" + v + "'");
-  }
-  if (!(n >= 0.0) || n > 1.0) {
-    throw std::invalid_argument(std::string(name) +
-                                ": must be in [0, 1], got '" + v + "'");
-  }
-  return n;
-}
-
-std::size_t env_limit_knob(const char* name, std::size_t base) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return base;
-  if (*v == '-' || *v == '+') {
-    throw std::invalid_argument(std::string(name) +
-                                ": expected a positive integer, got '" + v +
-                                "'");
-  }
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || n == 0) {
-    throw std::invalid_argument(std::string(name) +
-                                ": expected a positive integer, got '" + v +
-                                "'");
-  }
-  return static_cast<std::size_t>(n);
-}
 
 }  // namespace
 
@@ -73,37 +33,29 @@ AdversaryConfig AdversaryConfig::at_prevalence(double prevalence) {
 
 AdversaryConfig AdversaryConfig::from_env(AdversaryConfig base) {
   AdversaryConfig cfg = base;
-  if (const char* v = std::getenv("LG_ADVERSARY")) {
-    if (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0) {
+  if (util::env_knob_text("LG_ADVERSARY") != nullptr) {
+    const auto p = util::env_fraction_knob("LG_ADVERSARY");
+    if (!p.has_value() || *p == 0.0) {
       cfg = AdversaryConfig{};
     } else {
-      cfg = at_prevalence(env_prevalence_knob("LG_ADVERSARY", 0.0));
+      cfg = at_prevalence(*p);
       cfg.seed = base.seed;
       cfg.pathlen_min_limit = base.pathlen_min_limit;
       cfg.pathlen_max_limit = base.pathlen_max_limit;
     }
   }
-  if (const char* v = std::getenv("LG_ADVERSARY_SEED")) {
-    char* end = nullptr;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-      throw std::invalid_argument(
-          std::string("LG_ADVERSARY_SEED: expected a decimal integer, got '") +
-          v + "'");
-    }
-    cfg.seed = n;
-  }
-  cfg.pathlen_prevalence =
-      env_prevalence_knob("LG_ADVERSARY_PATHLEN", cfg.pathlen_prevalence);
-  cfg.default_route_prevalence = env_prevalence_knob(
-      "LG_ADVERSARY_DEFAULT_ROUTE", cfg.default_route_prevalence);
-  cfg.peerlock_prevalence =
-      env_prevalence_knob("LG_ADVERSARY_PEERLOCK", cfg.peerlock_prevalence);
-  cfg.destabilizer_prevalence = env_prevalence_knob(
-      "LG_ADVERSARY_DESTABILIZERS", cfg.destabilizer_prevalence);
-  if (std::getenv("LG_ADVERSARY_PATHLEN_LIMIT") != nullptr) {
-    const std::size_t limit =
-        env_limit_knob("LG_ADVERSARY_PATHLEN_LIMIT", cfg.pathlen_min_limit);
+  cfg.seed = util::env_u64_knob("LG_ADVERSARY_SEED", cfg.seed);
+  cfg.pathlen_prevalence = util::env_double_knob(
+      "LG_ADVERSARY_PATHLEN", cfg.pathlen_prevalence, 0.0, 1.0);
+  cfg.default_route_prevalence = util::env_double_knob(
+      "LG_ADVERSARY_DEFAULT_ROUTE", cfg.default_route_prevalence, 0.0, 1.0);
+  cfg.peerlock_prevalence = util::env_double_knob(
+      "LG_ADVERSARY_PEERLOCK", cfg.peerlock_prevalence, 0.0, 1.0);
+  cfg.destabilizer_prevalence = util::env_double_knob(
+      "LG_ADVERSARY_DESTABILIZERS", cfg.destabilizer_prevalence, 0.0, 1.0);
+  if (util::env_knob_text("LG_ADVERSARY_PATHLEN_LIMIT") != nullptr) {
+    const std::size_t limit = util::env_size_knob("LG_ADVERSARY_PATHLEN_LIMIT",
+                                                  cfg.pathlen_min_limit);
     cfg.pathlen_min_limit = limit;
     cfg.pathlen_max_limit = limit;
   }

@@ -73,8 +73,8 @@ struct AdversaryConfig {
   // plus the per-behavior overrides LG_ADVERSARY_SEED,
   // LG_ADVERSARY_PATHLEN, LG_ADVERSARY_DEFAULT_ROUTE,
   // LG_ADVERSARY_PEERLOCK, LG_ADVERSARY_DESTABILIZERS, and
-  // LG_ADVERSARY_PATHLEN_LIMIT (sets min=max). Parsing is strict in the
-  // fleet/env_knobs.h style: malformed or out-of-range values throw
+  // LG_ADVERSARY_PATHLEN_LIMIT (sets min=max). Parsing is strict
+  // (util/env_knobs.h): malformed or out-of-range values throw
   // std::invalid_argument naming the knob, never a silent fallback.
   static AdversaryConfig from_env(AdversaryConfig base);
   static AdversaryConfig from_env() { return from_env(AdversaryConfig{}); }

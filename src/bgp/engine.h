@@ -203,6 +203,11 @@ class BgpEngine {
     bool any_changed = false;
   };
 
+  // The field list behind save_snapshot/load_snapshot (bgp/snapshot.cc);
+  // Self is const BgpEngine on save.
+  template <typename Io, typename Self>
+  static void snapshot_fields(Io& io, Self& self);
+
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
   std::uint32_t index_of(AsId id) const noexcept;
   std::uint32_t checked_index(AsId id) const;  // throws std::out_of_range

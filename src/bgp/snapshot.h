@@ -13,51 +13,51 @@
 // at its first reference, so the reader can rebuild the pool in one pass.
 #pragma once
 
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "bgp/communities_ref.h"
 #include "bgp/path_ref.h"
+#include "topology/as_graph.h"
 #include "util/codec.h"
 
 namespace lg::bgp {
 
-struct SnapshotWriterPools {
-  std::unordered_map<const void*, std::uint32_t> path_id;
-  std::unordered_map<const void*, std::uint32_t> comm_id;
+// Field list (util/codec.h) for an AS link key, shared by every snapshot
+// that names one. K is const on save; a load re-normalizes the endpoints.
+template <typename Io, typename K>
+void link_fields(Io& io, K& k) {
+  io.u32(k.a);
+  io.u32(k.b);
+  if constexpr (Io::kReading) k = topo::AsLinkKey(k.a, k.b);
+}
 
-  void path(util::BinWriter& w, const PathRef& p) {
-    if (p.empty()) {
-      w.u32(0);
-      return;
-    }
-    const void* key = &p.get();
-    const auto it = path_id.find(key);
-    if (it != path_id.end()) {
-      w.u32(it->second);
-      return;
-    }
-    const auto id = static_cast<std::uint32_t>(path_id.size() + 1);
-    path_id.emplace(key, id);
-    w.u32(id);
-    w.vec(p.get(), [&](topo::AsId as) { w.u32(as); });
+// Both pools spell a ref field the same way — `pools.path(io, ref)` — so a
+// field list serves save and load alike. A ref is its pool id, followed by
+// the buffer's values the first time the id appears.
+struct SnapshotWriterPools {
+  using Ids = std::unordered_map<const void*, std::uint32_t>;
+  Ids path_id;
+  Ids comm_id;
+
+  void path(util::BinWriter& w, const PathRef& p) { write(w, path_id, p); }
+  void comm(util::BinWriter& w, const CommunitiesRef& c) {
+    write(w, comm_id, c);
   }
 
-  void comm(util::BinWriter& w, const CommunitiesRef& c) {
-    if (c.empty()) {
+ private:
+  template <typename Ref>
+  static void write(util::BinWriter& w, Ids& ids, const Ref& ref) {
+    if (ref.empty()) {
       w.u32(0);
       return;
     }
-    const void* key = &c.get();
-    const auto it = comm_id.find(key);
-    if (it != comm_id.end()) {
-      w.u32(it->second);
-      return;
-    }
-    const auto id = static_cast<std::uint32_t>(comm_id.size() + 1);
-    comm_id.emplace(key, id);
-    w.u32(id);
-    w.vec(c.get(), [&](Community v) { w.u32(v); });
+    const auto [it, fresh] = ids.try_emplace(
+        &ref.get(), static_cast<std::uint32_t>(ids.size() + 1));
+    w.u32(it->second);
+    if (fresh) w.vec(ref.get(), [&](std::uint32_t v) { w.u32(v); });
   }
 };
 
@@ -66,26 +66,25 @@ struct SnapshotReaderPools {
   std::vector<PathRef> paths{PathRef{}};
   std::vector<CommunitiesRef> comms{CommunitiesRef{}};
 
-  PathRef path(util::BinReader& r) {
-    const std::uint32_t id = r.u32();
-    if (id < paths.size()) return paths[id];
-    if (id != paths.size()) {
-      throw std::runtime_error("snapshot: path intern id out of order");
-    }
-    AsPath hops = r.vec<topo::AsId>([&] { return r.u32(); });
-    paths.emplace_back(std::move(hops));
-    return paths.back();
+  void path(util::BinReader& r, PathRef& out) { read(r, paths, out, "path"); }
+  void comm(util::BinReader& r, CommunitiesRef& out) {
+    read(r, comms, out, "communities");
   }
 
-  CommunitiesRef comm(util::BinReader& r) {
+ private:
+  template <typename Ref>
+  static void read(util::BinReader& r, std::vector<Ref>& pool, Ref& out,
+                   const char* what) {
     const std::uint32_t id = r.u32();
-    if (id < comms.size()) return comms[id];
-    if (id != comms.size()) {
-      throw std::runtime_error("snapshot: communities intern id out of order");
+    if (id == pool.size()) {
+      std::vector<std::uint32_t> values;
+      r.vec(values, 4, [&](std::uint32_t& v) { r.u32(v); });
+      pool.emplace_back(std::move(values));
+    } else if (id > pool.size()) {
+      throw std::runtime_error(std::string("snapshot: ") + what +
+                               " intern id out of order");
     }
-    Communities values = r.vec<Community>([&] { return r.u32(); });
-    comms.emplace_back(std::move(values));
-    return comms.back();
+    out = pool[id];
   }
 };
 

@@ -327,6 +327,11 @@ class BgpSpeaker {
   static void set_hint(HintTable& t, std::uint32_t slot,
                        const std::optional<AvoidHint>& hint);
 
+  // The field list behind save_snapshot/load_snapshot (bgp/snapshot.cc);
+  // Self is const BgpSpeaker on save.
+  template <typename Io, typename Self, typename Pools>
+  static void snapshot_fields(Io& io, Self& self, Pools& pools);
+
   // Returns true if best changed.
   bool recompute_best(PrefixId id, PrefixState& st);
   bool import_acceptable(const UpdateMessage& msg, std::uint32_t slot);

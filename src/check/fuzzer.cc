@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <utility>
 
@@ -13,6 +12,7 @@
 #include "obs/metrics.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
+#include "util/env_knobs.h"
 #include "util/rng.h"
 #include "util/scheduler.h"
 
@@ -373,9 +373,8 @@ SweepSummary run_sweep(std::uint64_t first_seed, std::size_t count,
 }
 
 std::optional<std::uint64_t> replay_seed_from_env() {
-  const char* v = std::getenv("LG_CHECK_SEED");
-  if (v == nullptr || *v == '\0') return std::nullopt;
-  return std::strtoull(v, nullptr, 10);
+  if (util::env_knob_text("LG_CHECK_SEED") == nullptr) return std::nullopt;
+  return util::env_u64_knob("LG_CHECK_SEED", 0);
 }
 
 }  // namespace lg::check

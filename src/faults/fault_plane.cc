@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/env_knobs.h"
 
 namespace lg::faults {
 
@@ -47,14 +46,10 @@ FaultConfig FaultConfig::at_intensity(double intensity) {
 
 FaultConfig FaultConfig::from_env() {
   FaultConfig cfg;  // disabled default
-  if (const char* v = std::getenv("LG_FAULTS")) {
-    if (std::strcmp(v, "off") != 0 && std::strcmp(v, "0") != 0) {
-      cfg = at_intensity(std::strtod(v, nullptr));
-    }
+  if (const auto f = util::env_fraction_knob("LG_FAULTS"); f && *f > 0.0) {
+    cfg = at_intensity(*f);
   }
-  if (const char* v = std::getenv("LG_FAULTS_SEED")) {
-    cfg.seed = std::strtoull(v, nullptr, 10);
-  }
+  cfg.seed = util::env_u64_knob("LG_FAULTS_SEED", cfg.seed);
   return cfg;
 }
 

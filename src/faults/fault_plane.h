@@ -80,7 +80,9 @@ struct FaultConfig {
   // class by one intensity knob in [0, 1] (0 = disabled clean plane).
   static FaultConfig at_intensity(double intensity);
   // Honor LG_FAULTS ("off"/"0" = disabled, else an intensity in [0, 1])
-  // and LG_FAULTS_SEED (decimal seed override). Unset = disabled default.
+  // and LG_FAULTS_SEED (decimal seed override). Unset = disabled default;
+  // malformed or out-of-range values throw std::invalid_argument
+  // (util/env_knobs.h).
   static FaultConfig from_env();
 };
 

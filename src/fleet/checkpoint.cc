@@ -3,55 +3,13 @@
 namespace lg::fleet {
 
 namespace {
-constexpr std::uint32_t kRngTag = 0x20474e52;    // "RNG "
-constexpr std::uint32_t kBucketTag = 0x544b4342; // "BCKT"
-constexpr std::uint32_t kMetricsTag = 0x5254454d; // "METR"
-constexpr std::uint32_t kSpansTag = 0x4e415053;  // "SPAN"
-constexpr std::uint32_t kTraceTag = 0x43415254;  // "TRAC"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kMetricsTag = 0x5254454d;  // "METR"
+constexpr std::uint32_t kSpansTag = 0x4e415053;    // "SPAN"
+constexpr std::uint32_t kTraceTag = 0x43415254;    // "TRAC"
 }  // namespace
 
-void save_rng(util::BinWriter& w, const util::Rng::State& s) {
-  w.magic(kRngTag, kVersion);
-  w.u64(s.state);
-  w.u64(s.inc);
-  w.b(s.have_cached_normal);
-  w.f64(s.cached_normal);
-}
-
-util::Rng::State load_rng(util::BinReader& r) {
-  r.magic(kRngTag, kVersion);
-  util::Rng::State s;
-  s.state = r.u64();
-  s.inc = r.u64();
-  s.have_cached_normal = r.b();
-  s.cached_normal = r.f64();
-  return s;
-}
-
-void save_bucket(util::BinWriter& w, const TokenBucket& b) {
-  w.magic(kBucketTag, kVersion);
-  const TokenBucket::State s = b.save_state();
-  w.f64(s.tokens);
-  w.f64(s.last);
-  w.f64(s.spent);
-  w.u64(s.granted);
-  w.u64(s.denied);
-}
-
-void load_bucket(util::BinReader& r, TokenBucket& b) {
-  r.magic(kBucketTag, kVersion);
-  TokenBucket::State s;
-  s.tokens = r.f64();
-  s.last = r.f64();
-  s.spent = r.f64();
-  s.granted = r.u64();
-  s.denied = r.u64();
-  b.restore_state(s);
-}
-
 void save_metrics(util::BinWriter& w, const obs::MetricsRegistry& reg) {
-  w.magic(kMetricsTag, kVersion);
+  w.magic(kMetricsTag, kSectionVersion);
   const auto counters = reg.counters();
   w.u64(counters.size());
   for (const obs::Counter* c : counters) {
@@ -82,7 +40,7 @@ void save_metrics(util::BinWriter& w, const obs::MetricsRegistry& reg) {
 }
 
 void load_metrics(util::BinReader& r, obs::MetricsRegistry& reg) {
-  r.magic(kMetricsTag, kVersion);
+  r.magic(kMetricsTag, kSectionVersion);
   reg.reset();
   const std::size_t n_counters = r.count(16);
   for (std::size_t i = 0; i < n_counters; ++i) {
@@ -113,7 +71,7 @@ void load_metrics(util::BinReader& r, obs::MetricsRegistry& reg) {
 }
 
 void save_spans(util::BinWriter& w, const obs::SpanRegistry& reg) {
-  w.magic(kSpansTag, kVersion);
+  w.magic(kSpansTag, kSectionVersion);
   w.b(reg.enabled());
   w.u64(reg.seed());
   w.u64(reg.sequence());
@@ -138,7 +96,7 @@ void save_spans(util::BinWriter& w, const obs::SpanRegistry& reg) {
 }
 
 void load_spans(util::BinReader& r, obs::SpanRegistry& reg) {
-  r.magic(kSpansTag, kVersion);
+  r.magic(kSpansTag, kSectionVersion);
   reg.clear();
   reg.set_enabled(r.b());
   const std::uint64_t seed = r.u64();
@@ -168,7 +126,7 @@ void load_spans(util::BinReader& r, obs::SpanRegistry& reg) {
 }
 
 void save_trace(util::BinWriter& w, const obs::TraceRing& ring) {
-  w.magic(kTraceTag, kVersion);
+  w.magic(kTraceTag, kSectionVersion);
   w.b(ring.enabled());
   // recorded() already folds merge-inherited drops in, and dropped() is
   // always recorded() - size(), so the lifetime total plus the held events
@@ -186,7 +144,7 @@ void save_trace(util::BinWriter& w, const obs::TraceRing& ring) {
 }
 
 void load_trace(util::BinReader& r, obs::TraceRing& ring) {
-  r.magic(kTraceTag, kVersion);
+  r.magic(kTraceTag, kSectionVersion);
   ring.clear();
   ring.set_enabled(r.b());
   const std::uint64_t recorded = r.u64();

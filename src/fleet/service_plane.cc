@@ -5,14 +5,17 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <utility>
 
+#include "bgp/snapshot.h"
 #include "bgp/types.h"
 #include "core/remediation.h"
 #include "fleet/checkpoint.h"
-#include "fleet/env_knobs.h"
 #include "obs/trace.h"
 #include "run/trial_runner.h"
 #include "util/codec.h"
+#include "util/env_knobs.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "workload/outage_stream.h"
 #include "workload/sim_world.h"
@@ -29,22 +32,6 @@ constexpr std::uint32_t kVersion = 2;
 
 constexpr std::uint8_t kNoSlot = 0xff;
 constexpr std::uint32_t kFreeSlot = 0xffffffffu;
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-}
-
-void fnv_mix_f64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_mix(h, bits);
-}
 
 // One formatted double for the fingerprint: fixed precision, no locale.
 void append_num(std::ostringstream& os, double v) {
@@ -87,6 +74,77 @@ struct ActiveFailure {
   double until = 0.0;
 };
 
+// A bounded report ring: the last `capacity` entries pushed plus the
+// lifetime push count (capacity 0 keeps only the count), so memory stays
+// flat however long the stream runs.
+template <typename T>
+class BoundedRing {
+ public:
+  explicit BoundedRing(std::size_t capacity) : capacity_(capacity) {}
+
+  void push(const T& v) {
+    if (capacity_ != 0) {
+      if (slots_.size() < capacity_) slots_.resize(capacity_);
+      slots_[total_ % capacity_] = v;
+    }
+    ++total_;
+  }
+
+  // Held entries, oldest first.
+  std::vector<T> held() const {
+    std::vector<T> out;
+    const std::size_t n = held_count();
+    out.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.push_back(slots_[(total_ - n + i) % capacity_]);
+    }
+    return out;
+  }
+
+  // Field list (util/codec.h): the lifetime count, then the held entries
+  // oldest first. A load puts each entry back in the slot it occupied, so
+  // the next push lands where the original process would have put it.
+  // Self is const BoundedRing on save.
+  template <typename Io, typename Self, typename Fn>
+  static void fields(Io& io, Self& ring, Fn&& entry) {
+    io.u64(ring.total_);
+    std::vector<T> held;
+    if constexpr (!Io::kReading) held = ring.held();
+    io.vec(held, entry);
+    if constexpr (Io::kReading) {
+      if (held.size() != ring.held_count()) {
+        throw std::runtime_error(
+            "service checkpoint: ring contents do not match its count "
+            "(different config?)");
+      }
+      ring.slots_.assign(ring.capacity_, T{});
+      const std::size_t n = held.size();
+      for (std::size_t i = 0; i < n; ++i) {
+        ring.slots_[(ring.total_ - n + i) % ring.capacity_] = held[i];
+      }
+    }
+  }
+
+ private:
+  std::size_t held_count() const noexcept {
+    return static_cast<std::size_t>(
+        std::min<std::uint64_t>(total_, capacity_));
+  }
+
+  std::size_t capacity_;
+  std::vector<T> slots_;
+  std::uint64_t total_ = 0;
+};
+
+// Field list for one injected failure; F is const on save.
+template <typename Io, typename F>
+void failure_fields(Io& io, F& f) {
+  io.opt(f.at_as, [&](auto& as) { io.u32(as); });
+  io.opt(f.at_link, [&](auto& k) { bgp::link_fields(io, k); });
+  io.opt(f.direction_from, [&](auto& as) { io.u32(as); });
+  io.opt(f.toward_as, [&](auto& as) { io.u32(as); });
+}
+
 workload::OutageStreamConfig stream_config(const ServiceConfig& cfg,
                                            std::uint64_t seed) {
   workload::OutageStreamConfig sc;
@@ -112,6 +170,8 @@ class ServicePlane {
         production_(topo::AddressPlan::production_prefix(origin)),
         slots_(std::min<std::size_t>(cfg.slots, 15)),
         slot_owner_(slots_, kFreeSlot),
+        records_(cfg.record_ring),
+        latencies_(cfg.latency_ring),
         spans_(&obs::SpanRegistry::current()),
         trace_(&obs::TraceRing::current()) {
     auto& metrics = obs::MetricsRegistry::current();
@@ -171,7 +231,7 @@ class ServicePlane {
     report.episodes_opened = opened_;
     report.episodes_closed = closed_;
     report.outcomes = outcomes_;
-    report.fingerprint = fnv_;
+    report.fingerprint = fnv_.state;
     report.slot_leases = slot_leases_;
     report.slot_waits = slot_waits_;
     report.open_at_end = open_;
@@ -182,182 +242,95 @@ class ServicePlane {
     report.announce_denied = announce_->bucket().denied();
     report.probe_admitted = admission_->admitted();
     report.probe_deferred = admission_->deferred();
-    report.records = ring_contents();
-    report.remediate_latencies = latency_contents();
+    report.records = records_.held();
+    report.remediate_latencies = latencies_.held();
   }
 
   // ---- checkpoint ----
 
-  void save(util::BinWriter& w) const {
-    w.magic(kPlaneTag, kVersion);
-    w.u64(static_cast<std::uint64_t>(shard_));
-    w.u32(origin_);
-    w.u64(ticks_);
-    w.u64(outages_injected_);
-    save_rng(w, rng_.save_state());
-    stream_.save(w);
-    w.vec(clients_, [&](const ClientState& cl) {
-      w.u32(cl.info.addr);
-      w.u32(cl.info.as);
-      w.f64(cl.info.weight);
-      w.vec(cl.baseline, [&](AsId as) { w.u32(as); });
-      w.u32(cl.fails);
-      w.b(cl.down);
-      w.b(cl.isolated);
-      w.u32(cl.blamed);
-    });
-    w.vec(states_, [&](const PrefixState& st) {
-      w.u8(static_cast<std::uint8_t>(st.state));
-      w.u8(st.slot);
-      w.u32(st.flap_count);
-      w.u32(st.verify_fails);
-      w.u32(st.probe_deferrals);
-      w.u32(st.budget_deferrals);
-      w.f64(st.opened_at);
-      w.f64(st.remediated_at);
-      w.f64(st.holddown_until);
-      w.f64(st.last_closed_at);
-      w.u64(st.span);
-    });
-    w.vec(slot_owner_, [&](std::uint32_t owner) { w.u32(owner); });
-    w.vec(active_, [&](const ActiveFailure& a) {
-      w.u64(a.id);
-      w.f64(a.until);
-    });
-    w.u64(static_cast<std::uint64_t>(open_));
-    w.u64(opened_);
-    w.u64(closed_);
-    for (const std::uint64_t o : outcomes_) w.u64(o);
-    w.u64(fnv_);
-    w.u64(slot_leases_);
-    w.u64(slot_waits_);
-    w.u64(total_records_);
-    w.vec(ring_contents(), [&](const ServiceEpisodeRecord& rec) {
-      w.u32(rec.key);
-      w.u32(rec.client);
-      w.u32(rec.client_as);
-      w.u32(rec.blamed);
-      w.f64(rec.opened_at);
-      w.f64(rec.remediated_at);
-      w.f64(rec.closed_at);
-      w.u8(static_cast<std::uint8_t>(rec.outcome));
-      w.i64(rec.slot);
-      w.u32(rec.flap_generation);
-      w.u32(rec.probe_deferrals);
-      w.u32(rec.budget_deferrals);
-    });
-    w.u64(total_latencies_);
-    w.vec(latency_contents(), [&](double v) { w.f64(v); });
-  }
-
-  void load(util::BinReader& r) {
-    r.magic(kPlaneTag, kVersion);
-    const std::uint64_t shard = r.u64();
-    if (shard != shard_) {
-      throw std::runtime_error("service checkpoint: blob is for shard " +
-                               std::to_string(shard) + ", restoring shard " +
-                               std::to_string(shard_));
-    }
-    const AsId origin = r.u32();
-    if (origin != origin_) {
-      throw std::runtime_error(
-          "service checkpoint: origin mismatch (different topology/config?)");
-    }
-    ticks_ = r.u64();
-    outages_injected_ = r.u64();
-    rng_.restore_state(load_rng(r));
-    stream_.load(r);
-    clients_ = r.vec<ClientState>([&] {
-      ClientState cl;
-      cl.info.addr = r.u32();
-      cl.info.as = r.u32();
-      cl.info.weight = r.f64();
-      cl.baseline = r.vec<AsId>([&] { return static_cast<AsId>(r.u32()); });
-      cl.fails = static_cast<std::uint16_t>(r.u32());
-      cl.down = r.b();
-      cl.isolated = r.b();
-      cl.blamed = r.u32();
-      return cl;
-    });
-    build_universe();
-    states_ = r.vec<PrefixState>([&] {
-      PrefixState st;
-      st.state = static_cast<EpisodeState>(r.u8());
-      st.slot = r.u8();
-      st.flap_count = static_cast<std::uint16_t>(r.u32());
-      st.verify_fails = static_cast<std::uint16_t>(r.u32());
-      st.probe_deferrals = static_cast<std::uint16_t>(r.u32());
-      st.budget_deferrals = static_cast<std::uint16_t>(r.u32());
-      st.opened_at = r.f64();
-      st.remediated_at = r.f64();
-      st.holddown_until = r.f64();
-      st.last_closed_at = r.f64();
-      st.span = r.u64();
-      return st;
-    });
-    if (states_.size() != universe_.size()) {
-      throw std::runtime_error(
-          "service checkpoint: universe size mismatch (different config?)");
-    }
-    slot_owner_ = r.vec<std::uint32_t>([&] { return r.u32(); });
-    if (slot_owner_.size() != slots_) {
-      throw std::runtime_error(
-          "service checkpoint: slot count mismatch (different config?)");
-    }
-    active_ = r.vec<ActiveFailure>([&] {
-      ActiveFailure a;
-      a.id = r.u64();
-      a.until = r.f64();
-      return a;
-    });
-    open_ = static_cast<std::size_t>(r.u64());
-    opened_ = r.u64();
-    closed_ = r.u64();
-    for (std::uint64_t& o : outcomes_) o = r.u64();
-    fnv_ = r.u64();
-    slot_leases_ = r.u64();
-    slot_waits_ = r.u64();
-    total_records_ = r.u64();
-    auto held = r.vec<ServiceEpisodeRecord>([&] {
-      ServiceEpisodeRecord rec;
-      rec.key = r.u32();
-      rec.client = r.u32();
-      rec.client_as = r.u32();
-      rec.blamed = r.u32();
-      rec.opened_at = r.f64();
-      rec.remediated_at = r.f64();
-      rec.closed_at = r.f64();
-      rec.outcome = static_cast<EpisodeOutcome>(r.u8());
-      rec.slot = static_cast<std::int16_t>(r.i64());
-      rec.flap_generation = static_cast<std::uint16_t>(r.u32());
-      rec.probe_deferrals = static_cast<std::uint16_t>(r.u32());
-      rec.budget_deferrals = static_cast<std::uint16_t>(r.u32());
-      return rec;
-    });
-    // Reinstate the ring with the held records in oldest-first order; the
-    // next insert lands exactly where the original process would have put it.
-    if (cfg_->record_ring > 0) {
-      records_.assign(cfg_->record_ring, ServiceEpisodeRecord{});
-      const std::size_t heldn = held.size();
-      for (std::size_t i = 0; i < heldn; ++i) {
-        records_[(total_records_ - heldn + i) % cfg_->record_ring] = held[i];
+  // The plane's field list (util/codec.h). Self is const ServicePlane on
+  // save; a load rebuilds the universe from the restored clients, checks
+  // the blob against this shard's config, and re-derives the culprit feed.
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self) {
+    io.magic(kPlaneTag, kVersion);
+    std::uint64_t shard = self.shard_;
+    AsId origin = self.origin_;
+    io.u64(shard);
+    io.u32(origin);
+    if constexpr (Io::kReading) {
+      if (shard != self.shard_) {
+        throw std::runtime_error("service checkpoint: blob is for shard " +
+                                 std::to_string(shard) + ", restoring shard " +
+                                 std::to_string(self.shard_));
       }
-    } else {
-      records_.clear();
-    }
-    total_latencies_ = r.u64();
-    auto lat = r.vec<double>([&] { return r.f64(); });
-    if (cfg_->latency_ring > 0) {
-      latencies_.assign(cfg_->latency_ring, 0.0);
-      const std::size_t heldn = lat.size();
-      for (std::size_t i = 0; i < heldn; ++i) {
-        latencies_[(total_latencies_ - heldn + i) % cfg_->latency_ring] =
-            lat[i];
+      if (origin != self.origin_) {
+        throw std::runtime_error(
+            "service checkpoint: origin mismatch (different topology/config?)");
       }
-    } else {
-      latencies_.clear();
     }
-    culprits_ = world_->feed_ases(20);
+    io.u64(self.ticks_);
+    io.u64(self.outages_injected_);
+    rng_section(io, self.rng_);
+    if constexpr (Io::kReading) {
+      self.stream_.load(io);
+    } else {
+      self.stream_.save(io);
+    }
+    io.vec(self.clients_, [&](auto& cl) {
+      io.u32(cl.info.addr);
+      io.u32(cl.info.as);
+      io.f64(cl.info.weight);
+      io.vec(cl.baseline, [&](auto& as) { io.u32(as); });
+      io.u32(cl.fails);
+      io.b(cl.down);
+      io.b(cl.isolated);
+      io.u32(cl.blamed);
+    });
+    if constexpr (Io::kReading) self.build_universe();
+    io.vec(self.states_, [&](auto& st) {
+      io.u8(st.state);
+      io.u8(st.slot);
+      io.u32(st.flap_count);
+      io.u32(st.verify_fails);
+      io.u32(st.probe_deferrals);
+      io.u32(st.budget_deferrals);
+      io.f64(st.opened_at);
+      io.f64(st.remediated_at);
+      io.f64(st.holddown_until);
+      io.f64(st.last_closed_at);
+      io.u64(st.span);
+    });
+    io.vec(self.slot_owner_, [&](auto& owner) { io.u32(owner); });
+    if constexpr (Io::kReading) self.check_restored_slots();
+    io.vec(self.active_, [&](auto& a) {
+      io.u64(a.id);
+      io.f64(a.until);
+    });
+    io.u64(self.open_);
+    io.u64(self.opened_);
+    io.u64(self.closed_);
+    for (auto& o : self.outcomes_) io.u64(o);
+    io.u64(self.fnv_.state);
+    io.u64(self.slot_leases_);
+    io.u64(self.slot_waits_);
+    decltype(self.records_)::fields(io, self.records_, [&](auto& rec) {
+      io.u32(rec.key);
+      io.u32(rec.client);
+      io.u32(rec.client_as);
+      io.u32(rec.blamed);
+      io.f64(rec.opened_at);
+      io.f64(rec.remediated_at);
+      io.f64(rec.closed_at);
+      io.u8(rec.outcome);
+      io.i64(rec.slot);
+      io.u32(rec.flap_generation);
+      io.u32(rec.probe_deferrals);
+      io.u32(rec.budget_deferrals);
+    });
+    decltype(self.latencies_)::fields(io, self.latencies_,
+                                      [&](auto& v) { io.f64(v); });
+    if constexpr (Io::kReading) self.culprits_ = self.world_->feed_ases(20);
   }
 
  private:
@@ -365,6 +338,35 @@ class ServicePlane {
     TargetTable ptable(cfg_->prefixes, cfg_->shards);
     universe_ = ptable.shard_universe(shard_, clients_.size());
     states_.assign(universe_.size(), PrefixState{});
+  }
+
+  // A restored blob must fit this shard's universe and slot pool: every
+  // leased slot is one of ours and every slot owner one of our prefixes,
+  // or close_episode would index past slot_owner_.
+  void check_restored_slots() const {
+    if (states_.size() != universe_.size()) {
+      throw std::runtime_error(
+          "service checkpoint: universe size mismatch (different config?)");
+    }
+    if (slot_owner_.size() != slots_) {
+      throw std::runtime_error(
+          "service checkpoint: slot count mismatch (different config?)");
+    }
+    for (const PrefixState& st : states_) {
+      if (st.slot != kNoSlot && st.slot >= slots_) {
+        throw std::runtime_error("service checkpoint: prefix holds slot " +
+                                 std::to_string(st.slot) + " of " +
+                                 std::to_string(slots_) + " (corrupt blob)");
+      }
+    }
+    for (const std::uint32_t owner : slot_owner_) {
+      if (owner != kFreeSlot && owner >= universe_.size()) {
+        throw std::runtime_error("service checkpoint: slot owner " +
+                                 std::to_string(owner) + " outside a " +
+                                 std::to_string(universe_.size()) +
+                                 "-prefix universe (corrupt blob)");
+      }
+    }
   }
 
   // Physical slots 1..15 of the production /24; slot 0 would contain the
@@ -544,7 +546,7 @@ class ServicePlane {
         outcome == EpisodeOutcome::kRemediated) {
       const double ttr = st.remediated_at - st.opened_at;
       d_ttr_->observe(ttr);
-      push_latency(ttr);
+      latencies_.push(ttr);
       c_remediated_->inc();
     }
     if (outcome == EpisodeOutcome::kResolvedSelf) c_resolved_self_->inc();
@@ -650,61 +652,16 @@ class ServicePlane {
     }
   }
 
-  std::vector<ServiceEpisodeRecord> ring_contents() const {
-    std::vector<ServiceEpisodeRecord> out;
-    if (cfg_->record_ring == 0 || total_records_ == 0) return out;
-    const std::size_t held =
-        std::min<std::size_t>(total_records_, cfg_->record_ring);
-    out.reserve(held);
-    for (std::size_t i = 0; i < held; ++i) {
-      out.push_back(records_[(total_records_ - held + i) % cfg_->record_ring]);
-    }
-    return out;
-  }
-
-  std::vector<double> latency_contents() const {
-    std::vector<double> out;
-    if (cfg_->latency_ring == 0 || total_latencies_ == 0) return out;
-    const std::size_t held =
-        std::min<std::size_t>(total_latencies_, cfg_->latency_ring);
-    out.reserve(held);
-    for (std::size_t i = 0; i < held; ++i) {
-      out.push_back(
-          latencies_[(total_latencies_ - held + i) % cfg_->latency_ring]);
-    }
-    return out;
-  }
-
   void push_record(const ServiceEpisodeRecord& rec) {
-    fnv_mix(fnv_, rec.key);
-    fnv_mix(fnv_, rec.client);
-    fnv_mix(fnv_, rec.blamed);
-    fnv_mix(fnv_, static_cast<std::uint64_t>(rec.outcome));
-    fnv_mix(fnv_, rec.flap_generation);
-    fnv_mix_f64(fnv_, rec.opened_at);
-    fnv_mix_f64(fnv_, rec.remediated_at);
-    fnv_mix_f64(fnv_, rec.closed_at);
-    if (cfg_->record_ring == 0) {
-      ++total_records_;
-      return;
-    }
-    if (records_.size() < cfg_->record_ring) {
-      records_.resize(cfg_->record_ring);
-    }
-    records_[total_records_ % cfg_->record_ring] = rec;
-    ++total_records_;
-  }
-
-  void push_latency(double v) {
-    if (cfg_->latency_ring == 0) {
-      ++total_latencies_;
-      return;
-    }
-    if (latencies_.size() < cfg_->latency_ring) {
-      latencies_.resize(cfg_->latency_ring);
-    }
-    latencies_[total_latencies_ % cfg_->latency_ring] = v;
-    ++total_latencies_;
+    fnv_.u64(rec.key)
+        .u64(rec.client)
+        .u64(rec.blamed)
+        .u64(static_cast<std::uint64_t>(rec.outcome))
+        .u64(rec.flap_generation)
+        .f64(rec.opened_at)
+        .f64(rec.remediated_at)
+        .f64(rec.closed_at);
+    records_.push(rec);
   }
 
   workload::SimWorld* world_;
@@ -731,13 +688,11 @@ class ServicePlane {
   std::uint64_t opened_ = 0;
   std::uint64_t closed_ = 0;
   std::array<std::uint64_t, 7> outcomes_{};
-  std::uint64_t fnv_ = kFnvOffset;
+  util::Fnv1a64 fnv_;
   std::uint64_t slot_leases_ = 0;
   std::uint64_t slot_waits_ = 0;
-  std::vector<ServiceEpisodeRecord> records_;
-  std::uint64_t total_records_ = 0;
-  std::vector<double> latencies_;
-  std::uint64_t total_latencies_ = 0;
+  BoundedRing<ServiceEpisodeRecord> records_;
+  BoundedRing<double> latencies_;
 
   obs::SpanRegistry* spans_;
   obs::TraceRing* trace_;
@@ -751,131 +706,88 @@ class ServicePlane {
   obs::Distribution* d_ttr_;
 };
 
-void save_failure(util::BinWriter& w, const dp::Failure& f) {
-  w.opt(f.at_as, [&](AsId as) { w.u32(as); });
-  w.opt(f.at_link, [&](const topo::AsLinkKey& k) {
-    w.u32(k.a);
-    w.u32(k.b);
-  });
-  w.opt(f.direction_from, [&](AsId as) { w.u32(as); });
-  w.opt(f.toward_as, [&](AsId as) { w.u32(as); });
-}
-
-dp::Failure load_failure(util::BinReader& r) {
-  dp::Failure f;
-  f.at_as = r.opt<AsId>([&] { return static_cast<AsId>(r.u32()); });
-  f.at_link = r.opt<topo::AsLinkKey>([&] {
-    const AsId a = r.u32();
-    const AsId b = r.u32();
-    return topo::AsLinkKey(a, b);
-  });
-  f.direction_from = r.opt<AsId>([&] { return static_cast<AsId>(r.u32()); });
-  f.toward_as = r.opt<AsId>([&] { return static_cast<AsId>(r.u32()); });
-  return f;
-}
-
-// Serialize one shard's full state. Ordering contract with restore_shard:
-// sections are applied in save order, with the observability registries
-// LAST so nothing the restore path itself does leaks into the restored
-// metric values.
-std::string save_checkpoint(std::size_t shard, std::uint64_t seed,
-                            workload::SimWorld& world,
-                            const ServicePlane& plane,
-                            const AnnouncementBudget& announce,
-                            const ProbeAdmission& admission) {
-  util::BinWriter w;
-  w.magic(kShardTag, kVersion);
-  w.u64(static_cast<std::uint64_t>(shard));
-  w.u64(seed);
-  const util::Scheduler::State ss = world.scheduler().save_state();
-  w.f64(ss.now);
-  w.u64(ss.executed);
-  w.u64(ss.cancelled);
-  w.u64(ss.compactions);
-  w.u64(static_cast<std::uint64_t>(ss.max_pending));
-  world.engine().save_snapshot(w);
-  plane.save(w);
-  w.u64(world.failures().next_id());
-  w.vec(world.failures().active(),
-        [&](const std::pair<dp::FailureId, dp::Failure>& e) {
-          w.u64(e.first);
-          save_failure(w, e.second);
-        });
-  save_bucket(w, announce.bucket());
-  save_bucket(w, admission.bucket());
-  w.f64(admission.save_estimate());
-  const measure::ProbeBudget& pb = world.prober().budget();
-  w.u64(pb.pings);
-  w.u64(pb.traceroute_probes);
-  w.u64(pb.spoofed_pings);
-  w.u64(pb.spoofed_traceroute_probes);
-  w.u64(pb.option_probes);
-  save_rng(w, world.responsiveness().rng_state());
-  save_metrics(w, obs::MetricsRegistry::current());
-  save_spans(w, obs::SpanRegistry::current());
-  save_trace(w, obs::TraceRing::current());
-  return w.take();
-}
-
-void restore_shard(util::BinReader& r, std::size_t shard, std::uint64_t seed,
-                   workload::SimWorld& world, ServicePlane& plane,
-                   AnnouncementBudget& announce, ProbeAdmission& admission) {
-  r.magic(kShardTag, kVersion);
-  const std::uint64_t blob_shard = r.u64();
-  const std::uint64_t blob_seed = r.u64();
+// One shard's checkpoint. Sections are applied in this order, with the
+// observability registries LAST so nothing the restore path itself does
+// leaks into the restored metric values. Plane is const ServicePlane on
+// save.
+template <typename Io, typename Plane>
+void shard_fields(Io& io, std::size_t shard, std::uint64_t seed,
+                  workload::SimWorld& world, Plane& plane,
+                  AnnouncementBudget& announce, ProbeAdmission& admission) {
+  io.magic(kShardTag, kVersion);
+  std::uint64_t blob_shard = shard;
+  std::uint64_t blob_seed = seed;
+  io.u64(blob_shard);
+  io.u64(blob_seed);
   if (blob_shard != shard || blob_seed != seed) {
     throw std::runtime_error(
         "service checkpoint: shard/seed mismatch (wrong blob for this "
         "shard?)");
   }
-  util::Scheduler::State ss;
-  ss.now = r.f64();
-  ss.executed = r.u64();
-  ss.cancelled = r.u64();
-  ss.compactions = r.u64();
-  ss.max_pending = static_cast<std::size_t>(r.u64());
-  world.scheduler().restore_state(ss);
-  world.engine().load_snapshot(r);
-  plane.load(r);
-  const dp::FailureId next_id = r.u64();
-  auto active = r.vec<std::pair<dp::FailureId, dp::Failure>>([&] {
-    const dp::FailureId id = r.u64();
-    return std::make_pair(id, load_failure(r));
+  util::Scheduler::State ss = world.scheduler().save_state();
+  io.f64(ss.now);
+  io.u64(ss.executed);
+  io.u64(ss.cancelled);
+  io.u64(ss.compactions);
+  io.u64(ss.max_pending);
+  if constexpr (Io::kReading) {
+    world.scheduler().restore_state(ss);
+    world.engine().load_snapshot(io);
+  } else {
+    world.engine().save_snapshot(io);
+  }
+  ServicePlane::fields(io, plane);
+  dp::FailureId next_id = world.failures().next_id();
+  io.u64(next_id);
+  auto active = world.failures().active();
+  io.vec(active, [&](auto& e) {
+    io.u64(e.first);
+    failure_fields(io, e.second);
   });
-  world.failures().restore(std::move(active), next_id);
-  load_bucket(r, announce.bucket());
-  load_bucket(r, admission.bucket());
-  admission.restore_estimate(r.f64());
+  if constexpr (Io::kReading) {
+    world.failures().restore(std::move(active), next_id);
+  }
+  bucket_section(io, announce.bucket());
+  bucket_section(io, admission.bucket());
+  double estimate = admission.save_estimate();
+  io.f64(estimate);
+  if constexpr (Io::kReading) admission.restore_estimate(estimate);
   measure::ProbeBudget& pb = world.prober().budget();
-  pb.pings = r.u64();
-  pb.traceroute_probes = r.u64();
-  pb.spoofed_pings = r.u64();
-  pb.spoofed_traceroute_probes = r.u64();
-  pb.option_probes = r.u64();
-  world.responsiveness().restore_rng(load_rng(r));
-  // Registries last: everything the restore path itself touched (converge
-  // spans, scheduler metrics, setup probes) is overwritten by the
-  // checkpointed truth, which already accounts for the original setup.
-  load_metrics(r, obs::MetricsRegistry::current());
-  load_spans(r, obs::SpanRegistry::current());
-  load_trace(r, obs::TraceRing::current());
-  world.sync_scheduler_baseline();
+  io.u64(pb.pings);
+  io.u64(pb.traceroute_probes);
+  io.u64(pb.spoofed_pings);
+  io.u64(pb.spoofed_traceroute_probes);
+  io.u64(pb.option_probes);
+  rng_section(io, world.responsiveness().rng());
+  if constexpr (Io::kReading) {
+    // Registries last: everything the restore path itself touched (converge
+    // spans, scheduler metrics, setup probes) is overwritten by the
+    // checkpointed truth, which already accounts for the original setup.
+    load_metrics(io, obs::MetricsRegistry::current());
+    load_spans(io, obs::SpanRegistry::current());
+    load_trace(io, obs::TraceRing::current());
+    world.sync_scheduler_baseline();
+  } else {
+    save_metrics(io, obs::MetricsRegistry::current());
+    save_spans(io, obs::SpanRegistry::current());
+    save_trace(io, obs::TraceRing::current());
+  }
 }
 
 }  // namespace
 
 ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
-  base.prefixes = env_size_knob("LG_SERVICE_PREFIXES", base.prefixes);
-  base.clients = env_size_knob("LG_SERVICE_CLIENTS", base.clients);
+  base.prefixes = util::env_size_knob("LG_SERVICE_PREFIXES", base.prefixes);
+  base.clients = util::env_size_knob("LG_SERVICE_CLIENTS", base.clients);
   base.horizon_seconds =
-      env_double_knob("LG_SERVICE_HORIZON", base.horizon_seconds, 1.0);
+      util::env_double_knob("LG_SERVICE_HORIZON", base.horizon_seconds, 1.0);
   base.tick_seconds =
-      env_double_knob("LG_SERVICE_TICK", base.tick_seconds, 1.0);
-  base.outages_per_hour =
-      env_double_knob("LG_SERVICE_OUTAGE_RATE", base.outages_per_hour, 0.0);
-  base.announce_per_hour = env_double_knob("LG_SERVICE_ANNOUNCE_BUDGET",
-                                           base.announce_per_hour, 0.0);
-  base.probe_rate_per_second = env_double_knob(
+      util::env_double_knob("LG_SERVICE_TICK", base.tick_seconds, 1.0);
+  base.outages_per_hour = util::env_double_knob(
+      "LG_SERVICE_OUTAGE_RATE", base.outages_per_hour, 0.0);
+  base.announce_per_hour = util::env_double_knob(
+      "LG_SERVICE_ANNOUNCE_BUDGET", base.announce_per_hour, 0.0);
+  base.probe_rate_per_second = util::env_double_knob(
       "LG_SERVICE_PROBE_BUDGET", base.probe_rate_per_second, 0.0);
   return base;
 }
@@ -922,7 +834,11 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
     // infrastructure announcements land in the same quiesced RIBs).
     world.converge();
     util::BinReader r(*run.restore_blob);
-    restore_shard(r, shard, seed, world, plane, announce, admission);
+    shard_fields(r, shard, seed, world, plane, announce, admission);
+    if (!r.at_end()) {
+      throw std::runtime_error(
+          "service checkpoint: trailing bytes after the shard (corrupt blob)");
+    }
   } else {
     plane.setup();
   }
@@ -936,8 +852,10 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
     plane.tick(std::max(t, world.scheduler().now()));
     world.converge();
     if (run.checkpoint_at > 0.0 && t >= run.checkpoint_at) {
-      report.checkpoint =
-          save_checkpoint(shard, seed, world, plane, announce, admission);
+      util::BinWriter w;
+      shard_fields(w, shard, seed, world, std::as_const(plane), announce,
+                   admission);
+      report.checkpoint = w.take();
       checkpointed = true;
       break;
     }
@@ -1005,7 +923,7 @@ void ServiceScheduler::write_checkpoint(const ServiceResult& result,
           "service checkpoint: shard " + std::to_string(s.shard) +
           " has no checkpoint blob (was the run made with run_until?)");
     }
-    w.bytes(s.checkpoint);
+    w.str(s.checkpoint);
   }
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
@@ -1037,7 +955,7 @@ std::vector<std::string> ServiceScheduler::read_checkpoint(
   }
   std::vector<std::string> blobs;
   blobs.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) blobs.push_back(r.bytes());
+  for (std::size_t i = 0; i < n; ++i) blobs.push_back(r.str());
   return blobs;
 }
 

@@ -9,6 +9,24 @@
 // std::string blob, with a magic+version header so an old snapshot fails
 // loudly instead of misparsing.
 //
+// Field lists. Each checkpointed record states its wire format once, as a
+// template over the direction: BinWriter runs it to save, BinReader to
+// load. The method names the wire width and the reader's in-place form
+// narrows back to the field's type, so `io.u32(st.flap_count)` writes a
+// uint16_t as 4 bytes and reads it back into the uint16_t. Steps only a load
+// takes (re-interning, validation, rebuilding derived state) sit behind
+// `Io::kReading`, and a save passes the record as const:
+//
+//   template <typename Io, typename Self>  // Self = T, or const T on save
+//   void fields(Io& io, Self& t) {
+//     io.magic(kTag, kVersion);
+//     io.u64(t.ticks);
+//     io.vec(t.owners, 4, [&](auto& owner) { io.u32(owner); });
+//     if constexpr (Io::kReading) {
+//       if (t.owners.size() != t.slots) throw std::runtime_error("...");
+//     }
+//   }
+//
 // Decode errors throw std::runtime_error: a snapshot is operator input, and
 // the topology loader set the convention that malformed input gets a
 // diagnostic, not undefined behaviour.
@@ -19,12 +37,15 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lg::util {
 
 class BinWriter {
  public:
+  static constexpr bool kReading = false;
+
   // Every snapshot section starts with a magic tag + version, so a reader
   // can verify it is looking at the section it expects.
   void magic(std::uint32_t tag, std::uint32_t version) {
@@ -32,16 +53,18 @@ class BinWriter {
     u32(version);
   }
 
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
+  // Integer (or enum) fields of any width, written at the named wire width.
+  template <typename T>
+  void u8(T v) { put(wire(v), 1); }
+  template <typename T>
+  void u32(T v) { put(wire(v), 4); }
+  template <typename T>
+  void u64(T v) { put(wire(v), 8); }
+  template <typename T>
+  void i64(T v) { put(static_cast<std::int64_t>(wire(v)), 8); }
+  template <typename T>
+  void size(T v) { u64(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<char>(v >> (8 * i)));
-  }
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
   // Bit-exact: doubles round-trip through their IEEE-754 representation.
   void f64(double v) {
     std::uint64_t bits = 0;
@@ -52,28 +75,55 @@ class BinWriter {
     size(s.size());
     buf_.append(s);
   }
-  void bytes(const std::string& s) { str(s); }
 
+  // Record counts and containers. `min_record_bytes` only matters to the
+  // reader (see BinReader::count); the writer accepts it so one field list
+  // serves both directions.
+  void count(std::size_t n, std::size_t /*min_record_bytes*/) { size(n); }
   template <typename T, typename Fn>
-  void vec(const std::vector<T>& v, Fn&& write_one) {
+  void vec(const std::vector<T>& v, std::size_t /*min_record_bytes*/,
+           Fn&& fn) {
     size(v.size());
-    for (const T& x : v) write_one(x);
+    for (const T& x : v) fn(x);
   }
   template <typename T, typename Fn>
-  void opt(const std::optional<T>& v, Fn&& write_one) {
+  void vec(const std::vector<T>& v, Fn&& fn) {
+    vec(v, 1, fn);
+  }
+  template <typename T, typename Fn>
+  void opt(const std::optional<T>& v, Fn&& fn) {
     b(v.has_value());
-    if (v.has_value()) write_one(*v);
+    if (v.has_value()) fn(*v);
   }
 
   const std::string& blob() const noexcept { return buf_; }
   std::string take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  static auto wire(T v) {
+    static_assert(std::is_integral_v<T> || std::is_enum_v<T>,
+                  "integer wire fields take integers or enums");
+    if constexpr (std::is_enum_v<T>) {
+      return static_cast<std::underlying_type_t<T>>(v);
+    } else {
+      return v;
+    }
+  }
+  // The low `width` bytes of v, little-endian.
+  void put(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      buf_.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+
   std::string buf_;
 };
 
 class BinReader {
  public:
+  static constexpr bool kReading = true;
+
   explicit BinReader(const std::string& blob) : buf_(&blob) {}
 
   void magic(std::uint32_t tag, std::uint32_t version) {
@@ -95,24 +145,8 @@ class BinReader {
     return static_cast<std::uint8_t>((*buf_)[pos_++]);
   }
   bool b() { return u8() != 0; }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(static_cast<std::uint8_t>((*buf_)[pos_++]))
-           << (8 * i);
-    }
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>((*buf_)[pos_++]))
-           << (8 * i);
-    }
-    return v;
-  }
+  std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
+  std::uint64_t u64() { return get(8); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   std::size_t size() {
     const std::uint64_t v = u64();
@@ -145,20 +179,41 @@ class BinReader {
     pos_ += n;
     return s;
   }
-  std::string bytes() { return str(); }
 
-  template <typename T, typename Fn>
-  std::vector<T> vec(Fn&& read_one) {
-    const std::size_t n = count(1);
-    std::vector<T> v;
-    v.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) v.push_back(read_one());
-    return v;
+  // In-place forms for field lists: read the named wire width and narrow
+  // back to the field's type.
+  template <typename T>
+  void u8(T& v) { v = static_cast<T>(u8()); }
+  template <typename T>
+  void u32(T& v) { v = static_cast<T>(u32()); }
+  template <typename T>
+  void u64(T& v) { v = static_cast<T>(u64()); }
+  template <typename T>
+  void i64(T& v) { v = static_cast<T>(i64()); }
+  template <typename T>
+  void size(T& v) { v = static_cast<T>(size()); }
+  void b(bool& v) { v = b(); }
+  void f64(double& v) { v = f64(); }
+  void str(std::string& s) { s = str(); }
+
+  void count(std::size_t& n, std::size_t min_record_bytes) {
+    n = count(min_record_bytes);
   }
   template <typename T, typename Fn>
-  std::optional<T> opt(Fn&& read_one) {
-    if (!b()) return std::nullopt;
-    return read_one();
+  void vec(std::vector<T>& v, std::size_t min_record_bytes, Fn&& fn) {
+    const std::size_t n = count(min_record_bytes);
+    v.clear();
+    v.resize(n);
+    for (T& x : v) fn(x);
+  }
+  template <typename T, typename Fn>
+  void vec(std::vector<T>& v, Fn&& fn) {
+    vec(v, 1, fn);
+  }
+  template <typename T, typename Fn>
+  void opt(std::optional<T>& v, Fn&& fn) {
+    v.reset();
+    if (b()) fn(v.emplace());
   }
 
   bool at_end() const noexcept { return pos_ == buf_->size(); }
@@ -170,6 +225,17 @@ class BinReader {
       throw std::runtime_error("snapshot: truncated blob");
     }
   }
+  std::uint64_t get(int width) {
+    need(static_cast<std::size_t>(width));
+    std::uint64_t v = 0;
+    for (int i = 0; i < width; ++i) {
+      v |= static_cast<std::uint64_t>(
+               static_cast<std::uint8_t>((*buf_)[pos_++]))
+           << (8 * i);
+    }
+    return v;
+  }
+
   const std::string* buf_;
   std::size_t pos_ = 0;
 };

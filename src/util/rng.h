@@ -142,4 +142,16 @@ class Rng {
   double cached_normal_ = 0.0;
 };
 
+// Checkpoint field list (util/codec.h) for a generator's complete State.
+// R is Rng on load and const Rng on save.
+template <typename Io, typename R>
+void rng_fields(Io& io, R& rng) {
+  Rng::State s = rng.save_state();
+  io.u64(s.state);
+  io.u64(s.inc);
+  io.b(s.have_cached_normal);
+  io.f64(s.cached_normal);
+  if constexpr (Io::kReading) rng.restore_state(s);
+}
+
 }  // namespace lg::util

@@ -45,33 +45,19 @@ OutageEvent OutageStream::next() {
   return out;
 }
 
-void OutageStream::save(util::BinWriter& w) const {
-  w.magic(kStreamTag, kVersion);
-  const util::Rng::State rs = rng_.save_state();
-  w.u64(rs.state);
-  w.u64(rs.inc);
-  w.b(rs.have_cached_normal);
-  w.f64(rs.cached_normal);
-  w.f64(clock_);
-  w.u64(generated_);
-  w.b(has_pending_);
-  w.f64(pending_.start_seconds);
-  w.f64(pending_.duration_seconds);
+template <typename Io, typename Self>
+void OutageStream::fields(Io& io, Self& self) {
+  io.magic(kStreamTag, kVersion);
+  util::rng_fields(io, self.rng_);
+  io.f64(self.clock_);
+  io.u64(self.generated_);
+  io.b(self.has_pending_);
+  io.f64(self.pending_.start_seconds);
+  io.f64(self.pending_.duration_seconds);
 }
 
-void OutageStream::load(util::BinReader& r) {
-  r.magic(kStreamTag, kVersion);
-  util::Rng::State rs;
-  rs.state = r.u64();
-  rs.inc = r.u64();
-  rs.have_cached_normal = r.b();
-  rs.cached_normal = r.f64();
-  rng_.restore_state(rs);
-  clock_ = r.f64();
-  generated_ = r.u64();
-  has_pending_ = r.b();
-  pending_.start_seconds = r.f64();
-  pending_.duration_seconds = r.f64();
-}
+void OutageStream::save(util::BinWriter& w) const { fields(w, *this); }
+
+void OutageStream::load(util::BinReader& r) { fields(r, *this); }
 
 }  // namespace lg::workload

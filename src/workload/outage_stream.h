@@ -54,6 +54,9 @@ class OutageStream {
 
  private:
   void ensure_pending();
+  // The field list behind save/load (util/codec.h); Self is const on save.
+  template <typename Io, typename Self>
+  static void fields(Io& io, Self& self);
 
   OutageStreamConfig cfg_;
   util::Rng rng_;

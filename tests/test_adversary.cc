@@ -517,6 +517,10 @@ TEST(AdversaryEnv, MalformedValuesThrow) {
     EnvGuard limit("LG_ADVERSARY_PATHLEN_LIMIT", "0");
     EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
   }
+  {
+    EnvGuard preset("LG_ADVERSARY", "2");
+    EXPECT_THROW(AdversaryConfig::from_env(), std::invalid_argument);
+  }
 }
 
 }  // namespace

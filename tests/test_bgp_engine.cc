@@ -18,6 +18,7 @@
 #include "obs/trace.h"
 #include "topology/addressing.h"
 #include "topology/generator.h"
+#include "util/fnv.h"
 #include "util/scheduler.h"
 
 namespace lg {
@@ -380,13 +381,8 @@ std::string run_fingerprint(double fault_intensity) {
 }
 
 std::string fnv1a64_hex(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
   std::ostringstream out;
-  out << std::hex << std::setw(16) << std::setfill('0') << h;
+  out << std::hex << std::setw(16) << std::setfill('0') << util::fnv1a64(s);
   return out.str();
 }
 

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 
 #include "bgp/engine.h"
 #include "check/audit.h"
@@ -350,6 +351,9 @@ TEST(FuzzerTest, ReplaySeedEnvRoundTrips) {
   const auto seed = check::replay_seed_from_env();
   ASSERT_TRUE(seed.has_value());
   EXPECT_EQ(*seed, 31337u);
+  // Seeds are decimal: a hex seed is malformed, not seed 0.
+  ASSERT_EQ(::setenv("LG_CHECK_SEED", "0x10", 1), 0);
+  EXPECT_THROW(check::replay_seed_from_env(), std::invalid_argument);
   if (prior != nullptr) {
     ::setenv("LG_CHECK_SEED", prior, 1);
   } else {

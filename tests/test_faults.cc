@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -74,6 +76,27 @@ TEST(FaultPlane, AtIntensityZeroDisablesEverything) {
   // Clamped above 1.
   EXPECT_EQ(faults::FaultConfig::at_intensity(7.0).update_loss_prob,
             full.update_loss_prob);
+}
+
+// LG_FAULTS / LG_FAULTS_SEED follow util/env_knobs.h: "off", "0" or an
+// intensity in [0, 1], and a decimal seed; anything else throws.
+TEST(FaultPlane, FromEnvParsesStrictly) {
+  ::setenv("LG_FAULTS", "0.5", 1);
+  ::setenv("LG_FAULTS_SEED", "16", 1);
+  const auto cfg = faults::FaultConfig::from_env();
+  EXPECT_TRUE(cfg.enabled);
+  EXPECT_EQ(cfg.seed, 16u);
+  ::setenv("LG_FAULTS", "off", 1);
+  EXPECT_FALSE(faults::FaultConfig::from_env().enabled);
+  ::setenv("LG_FAULTS", "abc", 1);
+  EXPECT_THROW(faults::FaultConfig::from_env(), std::invalid_argument);
+  ::setenv("LG_FAULTS", "5", 1);
+  EXPECT_THROW(faults::FaultConfig::from_env(), std::invalid_argument);
+  ::unsetenv("LG_FAULTS");
+  ::setenv("LG_FAULTS_SEED", "0x10", 1);
+  EXPECT_THROW(faults::FaultConfig::from_env(), std::invalid_argument);
+  ::unsetenv("LG_FAULTS_SEED");
+  EXPECT_FALSE(faults::FaultConfig::from_env().enabled);
 }
 
 TEST(FaultPlane, WindowedVerdictsAreQueryOrderIndependent) {

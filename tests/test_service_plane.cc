@@ -7,9 +7,12 @@
 //  * run_service_shard — same (config, shard, seed) means an identical
 //    report, different seeds diverge;
 //  * checkpoint/restore — an interrupted shard resumed from its blob
-//    finishes with exactly the state an uninterrupted run reaches.
+//    finishes with exactly the state an uninterrupted run reaches, the
+//    blob's bytes are pinned, and foreign, corrupted or truncated blobs are
+//    rejected or restore into a run that completes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <string>
@@ -17,7 +20,11 @@
 
 #include "fleet/service_plane.h"
 #include "fleet/target_table.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
+#include "obs/trace.h"
 #include "util/codec.h"
+#include "util/fnv.h"
 #include "workload/outage_stream.h"
 
 namespace lg {
@@ -203,21 +210,50 @@ TEST(ServicePlaneTest, EveryClosedEpisodeHasConsistentTimestamps) {
   EXPECT_LE(r.announce_utilization, 1.0);
 }
 
+// Shard 0 / seed 6 checkpointed at 1500 s holds live state of every kind the
+// restore must carry: open episodes, leased slots, and entries in both
+// bounded rings.
+constexpr std::size_t kRestoreShard = 0;
+constexpr std::uint64_t kRestoreSeed = 6;
+
+fleet::ServiceShardReport checkpointed_half(const fleet::ServiceConfig& cfg) {
+  // Fresh registries: the blob carries metrics, spans and the trace ring, so
+  // its bytes must not depend on what earlier tests recorded.
+  obs::MetricsRegistry metrics;
+  obs::TraceRing trace;
+  obs::SpanRegistry spans;
+  obs::ScopedMetricsRegistry scoped_metrics(metrics);
+  obs::ScopedTraceRing scoped_trace(trace);
+  obs::ScopedSpanRegistry scoped_spans(spans);
+  fleet::ServiceRun checkpoint;
+  checkpoint.checkpoint_at = 1500.0;
+  return fleet::run_service_shard(cfg, kRestoreShard, kRestoreSeed,
+                                  checkpoint);
+}
+
 TEST(ServicePlaneTest, CheckpointRestoreMatchesUninterruptedRun) {
   const fleet::ServiceConfig cfg = small_service_config();
-  const std::uint64_t seed = 91;
 
-  const auto full = fleet::run_service_shard(cfg, 2, seed);
+  const auto full = fleet::run_service_shard(cfg, kRestoreShard, kRestoreSeed);
 
-  fleet::ServiceRun checkpoint;
-  checkpoint.checkpoint_at = 900.0;  // mid-stream, episodes in flight
-  const auto half = fleet::run_service_shard(cfg, 2, seed, checkpoint);
+  const auto half = checkpointed_half(cfg);
   ASSERT_FALSE(half.checkpoint.empty());
   EXPECT_LT(half.ticks, full.ticks);
+  EXPECT_GT(half.episodes_opened, 0u);
+  EXPECT_GT(half.records.size(), 0u);
+  EXPECT_GT(half.remediate_latencies.size(), 0u);
+  EXPECT_GT(half.open_at_end, 0u);
+  EXPECT_GT(half.slot_leases, 0u);
+  // Wire-format golden: any change to what a checkpoint holds, or to how a
+  // field is encoded, moves this hash; a change that means to move it must
+  // bump the affected section's version.
+  EXPECT_EQ(half.checkpoint.size(), 761423u);
+  EXPECT_EQ(util::fnv1a64(half.checkpoint), 0xbb37b0c9b8c2f935ULL);
 
   fleet::ServiceRun resume;
   resume.restore_blob = &half.checkpoint;
-  const auto resumed = fleet::run_service_shard(cfg, 2, seed, resume);
+  const auto resumed =
+      fleet::run_service_shard(cfg, kRestoreShard, kRestoreSeed, resume);
 
   EXPECT_EQ(resumed.fingerprint, full.fingerprint);
   EXPECT_EQ(resumed.ticks, full.ticks);
@@ -229,17 +265,60 @@ TEST(ServicePlaneTest, CheckpointRestoreMatchesUninterruptedRun) {
   EXPECT_EQ(report_digest(resumed), report_digest(full));
 }
 
-TEST(ServicePlaneTest, RestoreRejectsBlobFromDifferentShard) {
+// A checkpoint is operator input: a blob for another shard, a corrupted
+// byte, trailing bytes or a truncation must be rejected with
+// std::runtime_error or restore into a run that reaches the horizon —
+// never undefined behaviour.
+TEST(ServicePlaneTest, RestoreRejectsForeignAndCorruptBlobs) {
   const fleet::ServiceConfig cfg = small_service_config();
-  fleet::ServiceRun checkpoint;
-  checkpoint.checkpoint_at = 600.0;
-  const auto half = fleet::run_service_shard(cfg, 0, 13, checkpoint);
-  ASSERT_FALSE(half.checkpoint.empty());
+  const auto half = checkpointed_half(cfg);
+  const std::string& blob = half.checkpoint;
+  ASSERT_FALSE(blob.empty());
 
-  fleet::ServiceRun resume;
-  resume.restore_blob = &half.checkpoint;
-  EXPECT_THROW(fleet::run_service_shard(cfg, 1, 13, resume),
+  fleet::ServiceRun foreign;
+  foreign.restore_blob = &blob;
+  EXPECT_THROW(fleet::run_service_shard(cfg, kRestoreShard + 1, kRestoreSeed,
+                                        foreign),
                std::runtime_error);
+
+  const auto restore = [&](const std::string& mutant) {
+    fleet::ServiceRun run;
+    run.restore_blob = &mutant;
+    return fleet::run_service_shard(cfg, kRestoreShard, kRestoreSeed, run);
+  };
+  const auto horizon_ticks =
+      static_cast<std::uint64_t>(cfg.horizon_seconds / cfg.tick_seconds);
+
+  // Overwrite the first 1,500 bytes after the plane section's tag — its
+  // header, clients and per-prefix machines, slot bytes included — one even
+  // offset at a time.
+  const std::size_t plane = blob.find("SVPL");
+  ASSERT_NE(plane, std::string::npos);
+  std::size_t rejected = 0;
+  for (std::size_t off = plane + 4; off < std::min(blob.size(), plane + 1504);
+       off += 2) {
+    std::string mutant = blob;
+    mutant[off] = 0x40;
+    try {
+      EXPECT_GE(restore(mutant).ticks, horizon_ticks) << "offset " << off;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+
+  // Bytes past the last section are corruption too.
+  EXPECT_THROW(restore(blob + '\0'), std::runtime_error);
+
+  // Cut the blob at every section boundary: each cut must be rejected.
+  for (const char* tag : {"SVCS", "BGEN", "BSPK", "SVPL", "RNG ", "TSTR",
+                          "BCKT", "METR", "SPAN", "TRAC"}) {
+    for (std::size_t at = blob.find(tag); at != std::string::npos;
+         at = blob.find(tag, at + 1)) {
+      EXPECT_THROW(restore(blob.substr(0, at)), std::runtime_error)
+          << tag << " at " << at;
+    }
+  }
 }
 
 }  // namespace

@@ -60,10 +60,15 @@ TEST(CodecTest, RoundTripsEveryScalarType) {
   EXPECT_DOUBLE_EQ(r.f64(), -0.1);
   EXPECT_TRUE(std::isinf(r.f64()));
   EXPECT_EQ(r.str(), "hello");
-  const auto v = r.vec<std::uint32_t>([&] { return r.u32(); });
+  std::vector<std::uint32_t> v;
+  r.vec(v, [&](std::uint32_t& x) { r.u32(x); });
   EXPECT_EQ(v, (std::vector<std::uint32_t>{1, 2, 3}));
-  EXPECT_EQ(r.opt<double>([&] { return r.f64(); }), std::optional<double>{2.5});
-  EXPECT_EQ(r.opt<double>([&] { return r.f64(); }), std::nullopt);
+  std::optional<double> some;
+  std::optional<double> none{7.0};  // a load replaces what was there
+  r.opt(some, [&](double& x) { r.f64(x); });
+  r.opt(none, [&](double& x) { r.f64(x); });
+  EXPECT_EQ(some, std::optional<double>{2.5});
+  EXPECT_EQ(none, std::nullopt);
   EXPECT_TRUE(r.at_end());
 }
 

@@ -6,7 +6,10 @@
 #include <chrono>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <thread>
+
+#include "util/env_knobs.h"
 
 namespace lg::util {
 namespace {
@@ -37,16 +40,34 @@ TEST(DefaultThreadCountTest, HonorsLgThreadsEnv) {
   EXPECT_EQ(default_thread_count(), 1u);
 }
 
-TEST(DefaultThreadCountTest, IgnoresInvalidEnvValues) {
+// A malformed worker count is operator error, not a request for every core
+// (util/env_knobs.h): it throws a diagnostic naming the knob.
+TEST(DefaultThreadCountTest, RejectsInvalidEnvValues) {
   const ThreadsEnvGuard guard;
   ::setenv("LG_THREADS", "0", 1);
-  EXPECT_GE(default_thread_count(), 1u);
+  EXPECT_THROW(default_thread_count(), std::invalid_argument);
   ::setenv("LG_THREADS", "-4", 1);
-  EXPECT_GE(default_thread_count(), 1u);
+  EXPECT_THROW(default_thread_count(), std::invalid_argument);
   ::setenv("LG_THREADS", "banana", 1);
-  EXPECT_GE(default_thread_count(), 1u);
+  EXPECT_THROW(default_thread_count(), std::invalid_argument);
   ::unsetenv("LG_THREADS");
   EXPECT_GE(default_thread_count(), 1u);
+}
+
+// The one grammar every numeric LG_* knob shares. LG_RSS_CEILING_MB has no
+// config struct of its own, so its malformed values are pinned here.
+TEST(EnvKnobsTest, RejectsMalformedValues) {
+  const char* name = "LG_RSS_CEILING_MB";
+  ::setenv(name, "2048", 1);
+  EXPECT_EQ(env_double_knob(name, 0.0, 0.0), 2048.0);
+  ::setenv(name, "", 1);  // empty reads as unset
+  EXPECT_EQ(env_double_knob(name, 7.0, 0.0), 7.0);
+  ::setenv(name, "2GB", 1);
+  EXPECT_THROW(env_double_knob(name, 0.0, 0.0), std::invalid_argument);
+  ::setenv(name, "abc", 1);
+  EXPECT_THROW(env_double_knob(name, 0.0, 0.0), std::invalid_argument);
+  ::unsetenv(name);
+  EXPECT_EQ(env_double_knob(name, 7.0, 0.0), 7.0);
 }
 
 TEST(ThreadPoolTest, ReportsRequestedSize) {
