@@ -10,7 +10,7 @@
 // which must never exceed the configured token bucket (the acceptance
 // criterion of the plane's §5.4 pacing story).
 //
-// Parallel structure: FleetScheduler fans its shards out on
+// Parallel structure: fleet::run_fleet fans its shards out on
 // lg::run::TrialRunner, so stdout and BENCH_sec6_fleet_scale.json are
 // byte-identical for any LG_THREADS value; only wall-clock changes (written
 // to stderr).
@@ -33,6 +33,9 @@ using namespace lg;
 
 namespace {
 
+using bench::quantile;
+using fleet::ShardReport;
+
 fleet::FleetConfig cell_config(std::size_t targets, double outages_per_hour) {
   fleet::FleetConfig cfg;
   cfg.targets = targets;
@@ -44,13 +47,6 @@ fleet::FleetConfig cell_config(std::size_t targets, double outages_per_hour) {
   cfg.shard_topology.num_small_transit = 30;
   cfg.shard_topology.num_stubs = 110;
   return fleet::FleetConfig::from_env(cfg);
-}
-
-double quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[idx < sorted.size() ? idx : sorted.size() - 1];
 }
 
 }  // namespace
@@ -94,7 +90,6 @@ int main() {
       const fleet::FleetConfig cfg = cell_config(size, rate);
       const std::string label = "fleet " + std::to_string(size) +
                                 " targets @" + util::fixed(rate, 0) + "/h";
-      fleet::FleetScheduler scheduler(cfg);
       const auto wall_start = std::chrono::steady_clock::now();
       CellRow cell;
       cell.targets = size;
@@ -103,7 +98,7 @@ int main() {
         bench::WallClock wc(label, cfg.shards,
                             cfg.threads ? cfg.threads
                                         : util::default_thread_count());
-        cell.result = scheduler.run();
+        cell.result = fleet::run_fleet(cfg);
       }
       const double wall = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - wall_start)
@@ -134,8 +129,10 @@ int main() {
         cell.result.episodes_per_sim_hour(),
         lat.empty() ? "n/a" : (util::fixed(quantile(lat, 0.5), 0) + " s").c_str(),
         lat.empty() ? "n/a" : (util::fixed(quantile(lat, 0.9), 0) + " s").c_str(),
-        static_cast<unsigned long long>(cell.result.probe_deferred()),
-        static_cast<unsigned long long>(cell.result.announce_denied()));
+        static_cast<unsigned long long>(
+            cell.result.total(&ShardReport::probe_deferred)),
+        static_cast<unsigned long long>(
+            cell.result.total(&ShardReport::announce_denied)));
   }
 
   bench::section("Announcement-budget utilization (hard cap: 1.0)");
@@ -143,14 +140,14 @@ int main() {
               "spent", "capacity", "utilization", "respected");
   bool util_in_bounds = true;
   for (const CellRow& cell : cells) {
-    const double cap = cell.result.announce_capacity();
-    const double util =
-        cap > 0.0 ? cell.result.announce_spent() / cap : 0.0;
+    const double spent = cell.result.total(&ShardReport::announce_spent);
+    const double cap = cell.result.total(&ShardReport::announce_capacity);
+    const double util = cap > 0.0 ? spent / cap : 0.0;
     // Regression surface for the utilization > 1.0 bug: no drain phase or
     // horizon undershoot may ever push reported utilization out of [0, 1].
     util_in_bounds = util_in_bounds && util >= 0.0 && util <= 1.0;
     std::printf("  %-8zu %-8.0f %-12.1f %-12.1f %-12.3f %-10s\n", cell.targets,
-                cell.rate, cell.result.announce_spent(), cap, util,
+                cell.rate, spent, cap, util,
                 cell.result.budget_respected() ? "yes" : "NO");
   }
 
@@ -163,13 +160,10 @@ int main() {
       bench::kv(fleet::episode_outcome_name(o),
                 std::to_string(big.result.outcome_count(o)));
     }
-    bench::kv("flap re-entries", std::to_string(big.result.flap_reentries()));
+    bench::kv("flap re-entries",
+              std::to_string(big.result.total(&ShardReport::flap_reentries)));
     bench::kv("open at end (must be 0)",
-              std::to_string([&] {
-                std::size_t n = 0;
-                for (const auto& s : big.result.shards) n += s.open_at_end;
-                return n;
-              }()));
+              std::to_string(big.result.total(&ShardReport::open_at_end)));
   }
 
   bench::section("Time-to-remediate CDF (largest cell, high outage rate)");
@@ -198,9 +192,10 @@ int main() {
       jr->headline("remediate_p50_s_" + suffix, quantile(lat, 0.5));
       jr->headline("remediate_p90_s_" + suffix, quantile(lat, 0.9));
     }
-    const double cap = cell.result.announce_capacity();
+    const double spent = cell.result.total(&ShardReport::announce_spent);
+    const double cap = cell.result.total(&ShardReport::announce_capacity);
     jr->headline("announce_utilization_" + suffix,
-                 cap > 0.0 ? cell.result.announce_spent() / cap : 0.0);
+                 cap > 0.0 ? spent / cap : 0.0);
   }
   jr->headline("budget_respected_all_cells", all_respected ? 1.0 : 0.0);
   jr->headline("utilization_in_bounds", util_in_bounds ? 1.0 : 0.0);

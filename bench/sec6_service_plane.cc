@@ -29,12 +29,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "fleet/service_plane.h"
+#include "mem/rss.h"
 #include "util/env_knobs.h"
 #include "util/fnv.h"
 #include "util/strings.h"
@@ -43,6 +43,9 @@
 using namespace lg;
 
 namespace {
+
+using bench::quantile;
+using Report = fleet::ServiceShardReport;
 
 fleet::ServiceConfig trace_config() {
   fleet::ServiceConfig cfg;
@@ -55,43 +58,13 @@ fleet::ServiceConfig trace_config() {
   return fleet::ServiceConfig::from_env(cfg);
 }
 
-double quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const std::size_t idx = static_cast<std::size_t>(
-      q * static_cast<double>(sorted.size() - 1) + 0.5);
-  return sorted[idx < sorted.size() ? idx : sorted.size() - 1];
-}
-
-// Resident set in MB from /proc/self/status. Hardware/allocator-dependent:
-// stderr only, never stdout or the JSON report.
-double rss_mb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0.0;
-  char line[256];
-  double kb = 0.0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtod(line + 6, nullptr);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb / 1024.0;
-}
-
 void print_result(const fleet::ServiceResult& result) {
   using O = fleet::EpisodeOutcome;
   bench::section("Streaming service plane — episodes and remediation");
-  bench::kv("serviced prefixes", std::to_string([&] {
-              std::size_t n = 0;
-              for (const auto& s : result.shards) n += s.prefixes;
-              return n;
-            }()));
-  bench::kv("monitored clients", std::to_string([&] {
-              std::size_t n = 0;
-              for (const auto& s : result.shards) n += s.clients;
-              return n;
-            }()));
+  bench::kv("serviced prefixes",
+            std::to_string(result.total(&Report::prefixes)));
+  bench::kv("monitored clients",
+            std::to_string(result.total(&Report::clients)));
   bench::kv("outages injected", std::to_string(result.outages_injected()));
   bench::kv("episodes opened", std::to_string(result.episodes_opened()));
   bench::kv("episodes closed", std::to_string(result.episodes_closed()));
@@ -102,21 +75,9 @@ void print_result(const fleet::ServiceResult& result) {
     bench::kv(std::string("  outcome: ") + fleet::episode_outcome_name(o),
               std::to_string(result.outcome_count(o)));
   }
-  bench::kv("slot leases", std::to_string([&] {
-              std::uint64_t n = 0;
-              for (const auto& s : result.shards) n += s.slot_leases;
-              return n;
-            }()));
-  bench::kv("slot waits", std::to_string([&] {
-              std::uint64_t n = 0;
-              for (const auto& s : result.shards) n += s.slot_waits;
-              return n;
-            }()));
-  bench::kv("open at end", std::to_string([&] {
-              std::size_t n = 0;
-              for (const auto& s : result.shards) n += s.open_at_end;
-              return n;
-            }()));
+  bench::kv("slot leases", std::to_string(result.total(&Report::slot_leases)));
+  bench::kv("slot waits", std::to_string(result.total(&Report::slot_waits)));
+  bench::kv("open at end", std::to_string(result.total(&Report::open_at_end)));
   char digest[32];
   std::snprintf(
       digest, sizeof(digest), "%016llx",
@@ -226,14 +187,13 @@ int main() {
     fleet::ServiceScheduler mem_scheduler(mem_cfg);
     mem_result = mem_scheduler.run();
   }
-  bench::kv("serviced prefixes", std::to_string([&] {
-              std::size_t n = 0;
-              for (const auto& s : mem_result.shards) n += s.prefixes;
-              return n;
-            }()));
+  bench::kv("serviced prefixes",
+            std::to_string(mem_result.total(&Report::prefixes)));
   bench::kv("episodes closed", std::to_string(mem_result.episodes_closed()));
   bench::kv("budget respected", mem_result.budget_respected() ? "yes" : "NO");
-  const double rss = rss_mb();
+  // Hardware/allocator-dependent: stderr only, never stdout or the report.
+  const double rss =
+      static_cast<double>(mem::current_rss_bytes()) / (1024.0 * 1024.0);
   std::fprintf(stderr, "[service plane 100k prefixes] steady-state RSS %.1f MB\n",
                rss);
   const double rss_ceiling =
@@ -267,11 +227,8 @@ int main() {
   }
   jr->headline("announce_utilization_max", util_max);
   jr->headline("budget_respected", result.budget_respected() ? 1.0 : 0.0);
-  jr->headline("mem_cell_prefixes", static_cast<double>([&] {
-                 std::size_t n = 0;
-                 for (const auto& s : mem_result.shards) n += s.prefixes;
-                 return n;
-               }()));
+  jr->headline("mem_cell_prefixes",
+               static_cast<double>(mem_result.total(&Report::prefixes)));
   jr->headline("mem_cell_episodes_closed",
                static_cast<double>(mem_result.episodes_closed()));
 

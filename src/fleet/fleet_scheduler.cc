@@ -1,27 +1,13 @@
 #include "fleet/fleet_scheduler.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
-#include "run/trial_runner.h"
 #include "util/env_knobs.h"
 #include "util/rng.h"
 #include "workload/outages.h"
 
 namespace lg::fleet {
-
-namespace {
-
-// One formatted double for the fingerprint: fixed precision, no locale.
-void append_num(std::ostringstream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  os << buf;
-}
-
-}  // namespace
 
 FleetConfig FleetConfig::from_env(FleetConfig base) {
   base.targets = util::env_size_knob("LG_FLEET_TARGETS", base.targets);
@@ -34,57 +20,27 @@ FleetConfig FleetConfig::from_env(FleetConfig base) {
   return base;
 }
 
-ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
+namespace {
+
+// One shard: its EpisodeManager over its slice of the target table, run to
+// quiescence under an outage script drawn up front.
+ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t index,
                             std::uint64_t seed) {
+  Shard shard(cfg, index, seed);
+  workload::SimWorld& world = shard.world;
+  const AsId origin = shard.origin;
   ShardReport report;
-  report.shard = shard;
-  report.seed = seed;
+  report.take_identity(shard);
+  if (origin == topo::kInvalidAs) return report;  // degenerate; empty shard
 
+  auto helpers = shard.announce_helpers(cfg.helpers);
   TargetTable table(cfg.targets, cfg.shards);
-  const std::size_t quota = table.shard_quota(shard);
-
-  workload::SimWorldConfig wc;
-  wc.topology = cfg.shard_topology;
-  wc.topology.seed = seed;
-  wc.engine.seed = seed + 1;
-  wc.responsiveness.seed = seed + 2;
-  workload::SimWorld world(wc);
-
-  // The origin: first multihomed stub — LIFEGUARD's premise is an edge
-  // network with provider choice.
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
-  if (origin == topo::kInvalidAs) {
-    report.origin = origin;
-    return report;  // degenerate topology; empty shard
-  }
-  report.origin = origin;
-
-  // Helper vantage points need announced production prefixes to receive
-  // spoofed-probe replies.
-  std::vector<measure::VantagePoint> helpers;
-  for (const AsId as : world.stub_vantage_ases(cfg.helpers + 2)) {
-    if (as == origin) continue;
-    helpers.push_back(measure::VantagePoint::in_as(as));
-    world.announce_production(as);
-    if (helpers.size() == cfg.helpers) break;
-  }
-
-  auto targets = TargetTable::enumerate(world, origin, quota);
+  auto targets =
+      TargetTable::enumerate(world, origin, table.shard_quota(index));
   report.targets = targets.size();
 
-  const double shards_d = static_cast<double>(cfg.shards);
-  AnnouncementBudget announce(cfg.announce_per_hour / 3600.0 / shards_d,
-                              std::max(1.0, cfg.announce_burst / shards_d));
-  ProbeAdmission admission(cfg.probe_rate_per_second, cfg.probe_burst);
-
-  EpisodeManager manager(world, origin, std::move(targets), announce,
-                         admission, cfg.episode);
+  EpisodeManager manager(world, origin, std::move(targets), shard.announce,
+                         shard.admission, cfg.episode);
   manager.set_helpers(std::move(helpers));
   manager.start(cfg.horizon_seconds);
 
@@ -100,8 +56,8 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
   if (inject_span > 0.0 && cfg.outages_per_hour > 0.0) {
     util::Rng rng(seed ^ 0x6f757467ULL, 0x666c7464ULL);
     const auto events = workload::sample_outage_process(
-        rng, cfg.outages_per_hour / shards_d, inject_span, {},
-        cfg.outage_duration_cap_seconds);
+        rng, cfg.outages_per_hour / static_cast<double>(cfg.shards),
+        inject_span, {}, cfg.outage_duration_cap_seconds);
     const auto culprits = world.feed_ases(20);
     for (const auto& ev : events) {
       if (culprits.empty()) break;
@@ -140,67 +96,25 @@ ShardReport run_fleet_shard(const FleetConfig& cfg, std::size_t shard,
   world.converge();
 
   report.episodes = manager.episodes();
-  report.announce_spent = announce.bucket().spent();
-  report.announce_capacity =
-      announce.bucket().capacity(world.scheduler().now());
-  report.announce_granted = announce.bucket().granted();
-  report.announce_denied = announce.bucket().denied();
-  report.probe_admitted = admission.admitted();
-  report.probe_deferred = admission.deferred();
+  report.episodes_opened = report.episodes.size();
+  for (const EpisodeRecord& e : report.episodes) {
+    if (e.closed_at >= 0.0) ++report.episodes_closed;
+    ++report.outcomes[static_cast<std::size_t>(e.outcome)];
+  }
+  report.take_budgets(shard, world.scheduler().now());
   report.flap_reentries = manager.flap_reentries();
   report.open_at_end = manager.open_episodes();
   report.poisons_at_end = manager.active_poisons();
   return report;
 }
 
-FleetScheduler::FleetScheduler(FleetConfig cfg) : cfg_(std::move(cfg)) {}
+}  // namespace
 
-FleetResult FleetScheduler::run() {
-  run::TrialRunnerConfig rc;
-  rc.threads = cfg_.threads;
-  rc.base_seed = cfg_.base_seed;
-  run::TrialRunner runner(rc);
-  auto reports = runner.run(cfg_.shards, [this](run::TrialContext& ctx) {
-    return run_fleet_shard(cfg_, ctx.index, ctx.seed);
-  });
-  FleetResult result;
-  result.config = cfg_;
-  result.shards = std::move(reports);
-  return result;
-}
-
-std::size_t FleetResult::episodes_opened() const {
-  std::size_t n = 0;
-  for (const auto& s : shards) n += s.episodes.size();
-  return n;
-}
-
-std::size_t FleetResult::episodes_closed() const {
-  std::size_t n = 0;
-  for (const auto& s : shards) {
-    for (const auto& e : s.episodes) n += e.closed_at >= 0.0 ? 1 : 0;
-  }
-  return n;
-}
-
-std::size_t FleetResult::outcome_count(EpisodeOutcome o) const {
-  std::size_t n = 0;
-  for (const auto& s : shards) {
-    for (const auto& e : s.episodes) n += e.outcome == o ? 1 : 0;
-  }
-  return n;
-}
-
-std::size_t FleetResult::outages_injected() const {
-  std::size_t n = 0;
-  for (const auto& s : shards) n += s.outages_injected;
-  return n;
-}
-
-std::uint64_t FleetResult::flap_reentries() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.flap_reentries;
-  return n;
+FleetResult run_fleet(const FleetConfig& cfg) {
+  return run_shards<FleetResult>(
+      cfg, [&](std::size_t shard, std::uint64_t seed) {
+        return run_fleet_shard(cfg, shard, seed);
+      });
 }
 
 std::vector<double> FleetResult::remediate_latencies() const {
@@ -212,42 +126,6 @@ std::vector<double> FleetResult::remediate_latencies() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-double FleetResult::announce_spent() const {
-  double n = 0.0;
-  for (const auto& s : shards) n += s.announce_spent;
-  return n;
-}
-
-double FleetResult::announce_capacity() const {
-  double n = 0.0;
-  for (const auto& s : shards) n += s.announce_capacity;
-  return n;
-}
-
-std::uint64_t FleetResult::announce_denied() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.announce_denied;
-  return n;
-}
-
-std::uint64_t FleetResult::probe_deferred() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.probe_deferred;
-  return n;
-}
-
-bool FleetResult::budget_respected() const {
-  for (const auto& s : shards) {
-    if (s.announce_spent > s.announce_capacity + 1e-6) return false;
-  }
-  return true;
-}
-
-double FleetResult::episodes_per_sim_hour() const {
-  const double hours = config.horizon_seconds / 3600.0;
-  return hours > 0.0 ? static_cast<double>(episodes_closed()) / hours : 0.0;
 }
 
 std::string FleetResult::fingerprint() const {

@@ -6,6 +6,7 @@
 
 #include "check/invariants.h"
 #include "faults/fault_plane.h"
+#include "fleet/shard.h"
 #include "util/rng.h"
 
 namespace lg::fleet {
@@ -51,45 +52,33 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioOptions& opt) {
     scope.emplace(*plane);
   }
 
+  // Every knob is drawn up front, in a fixed order, so a seed always
+  // replays the same scenario.
   util::Rng rng(opt.seed, 0x666c6675ULL);  // "flfu"
+  ShardPlan plan;
+  plan.shards = 1;
+  plan.shard_topology.num_tier1 = 3;
+  plan.shard_topology.num_large_transit = 6;
+  plan.shard_topology.num_small_transit = 10 + rng.uniform_u32(6);
+  plan.shard_topology.num_stubs = 24 + rng.uniform_u32(12);
+  const std::size_t quota = 6 + rng.uniform_u32(10);
+  // Deliberately tight budgets so deferral paths get exercised.
+  plan.announce_per_hour = 30.0;
+  plan.announce_burst = 2.0 + rng.uniform_u32(3);
+  plan.probe_rate_per_second = 4.0 + rng.uniform01() * 8.0;
+  plan.probe_burst = 600.0;
 
-  workload::SimWorldConfig wc;
-  wc.topology.num_tier1 = 3;
-  wc.topology.num_large_transit = 6;
-  wc.topology.num_small_transit = 10 + rng.uniform_u32(6);
-  wc.topology.num_stubs = 24 + rng.uniform_u32(12);
-  wc.topology.seed = opt.seed;
-  wc.engine.seed = opt.seed + 1;
-  wc.responsiveness.seed = opt.seed + 2;
-  workload::SimWorld world(wc);
-
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
+  Shard shard(plan, 0, opt.seed);
+  workload::SimWorld& world = shard.world;
+  const AsId origin = shard.origin;
   if (origin == topo::kInvalidAs) return res;  // vacuously clean
 
-  std::vector<measure::VantagePoint> helpers;
-  for (const AsId as : world.stub_vantage_ases(5)) {
-    if (as == origin) continue;
-    helpers.push_back(measure::VantagePoint::in_as(as));
-    world.announce_production(as);
-    if (helpers.size() == 3) break;
-  }
-
-  auto targets =
-      TargetTable::enumerate(world, origin, 6 + rng.uniform_u32(10));
+  auto helpers = shard.announce_helpers(3);
+  auto targets = TargetTable::enumerate(world, origin, quota);
   res.targets = targets.size();
 
-  // Deliberately tight budgets so deferral paths get exercised.
-  AnnouncementBudget announce(30.0 / 3600.0, 2.0 + rng.uniform_u32(3));
-  ProbeAdmission admission(4.0 + rng.uniform01() * 8.0, 600.0);
-
-  EpisodeManager manager(world, origin, std::move(targets), announce,
-                         admission, EpisodeConfig{});
+  EpisodeManager manager(world, origin, std::move(targets), shard.announce,
+                         shard.admission, EpisodeConfig{});
   manager.set_helpers(std::move(helpers));
   const double horizon = 4800.0;
   manager.start(horizon);
@@ -134,8 +123,8 @@ FleetScenarioResult run_fleet_scenario(const FleetScenarioOptions& opt) {
     }
   }
   const double now = world.scheduler().now();
-  res.budget_respected =
-      announce.bucket().spent() <= announce.bucket().capacity(now) + 1e-6;
+  const TokenBucket& bucket = shard.announce.bucket();
+  res.budget_respected = bucket.spent() <= bucket.capacity(now) + 1e-6;
 
   check::InvariantChecker checker(world.engine());
   const auto violations = checker.check_all();

@@ -2,11 +2,12 @@
 //
 // The lg::check fuzzer stresses the control plane; this one stresses the
 // service plane above it. One scenario = one 64-bit seed, which derives a
-// small random world, a monitored-target slice, budget knobs, and a script
-// of concurrent silent outages (mostly reverse-path failures toward the
-// origin — the correlated case that opens many episodes at once). The
-// EpisodeManager runs the script to quiescence, optionally under an
-// lg::faults plane, and the end state is judged:
+// small random one-shard world (fleet/shard.h), a monitored-target slice,
+// budget knobs, and a script of concurrent silent outages (mostly
+// reverse-path failures toward the origin — the correlated case that opens
+// many episodes at once). The EpisodeManager runs the script to
+// quiescence, optionally under an lg::faults plane, and the end state is
+// judged:
 //
 //  1. every episode closed (no state-machine leak past a full drain);
 //  2. no poison left announced (every remediation reverted);
@@ -21,11 +22,10 @@
 // lg::check (tests honor check::replay_seed_from_env()).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "fleet/fleet_scheduler.h"
 
 namespace lg::fleet {
 

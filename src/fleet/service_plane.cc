@@ -12,7 +12,6 @@
 #include "core/remediation.h"
 #include "fleet/checkpoint.h"
 #include "obs/trace.h"
-#include "run/trial_runner.h"
 #include "util/codec.h"
 #include "util/env_knobs.h"
 #include "util/fnv.h"
@@ -32,13 +31,6 @@ constexpr std::uint32_t kVersion = 2;
 
 constexpr std::uint8_t kNoSlot = 0xff;
 constexpr std::uint32_t kFreeSlot = 0xffffffffu;
-
-// One formatted double for the fingerprint: fixed precision, no locale.
-void append_num(std::ostringstream& os, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  os << buf;
-}
 
 // Per-monitored-client detection state. Isolation runs once per client per
 // incident and its verdict is shared by every serviced prefix mapped here.
@@ -156,18 +148,14 @@ workload::OutageStreamConfig stream_config(const ServiceConfig& cfg,
 
 class ServicePlane {
  public:
-  ServicePlane(workload::SimWorld& world, const ServiceConfig& cfg,
-               std::size_t shard, std::uint64_t seed, AsId origin,
-               AnnouncementBudget& announce, ProbeAdmission& admission)
-      : world_(&world),
+  ServicePlane(Shard& shard, const ServiceConfig& cfg)
+      : world_(&shard.world),
         cfg_(&cfg),
-        shard_(shard),
-        origin_(origin),
-        announce_(&announce),
-        admission_(&admission),
-        rng_(seed ^ 0x73766370ULL, 0x6469726eULL),
-        stream_(stream_config(cfg, seed)),
-        production_(topo::AddressPlan::production_prefix(origin)),
+        shard_(&shard),
+        origin_(shard.origin),
+        rng_(shard.seed ^ 0x73766370ULL, 0x6469726eULL),
+        stream_(stream_config(cfg, shard.seed)),
+        production_(topo::AddressPlan::production_prefix(origin_)),
         slots_(std::min<std::size_t>(cfg.slots, 15)),
         slot_owner_(slots_, kFreeSlot),
         records_(cfg.record_ring),
@@ -196,7 +184,7 @@ class ServicePlane {
     world_->converge();
     TargetTable ctable(cfg_->clients, cfg_->shards);
     const auto targets = TargetTable::enumerate(
-        *world_, origin_, ctable.shard_quota(shard_));
+        *world_, origin_, ctable.shard_quota(shard_->index));
     clients_.reserve(targets.size());
     const Ipv4 reply = topo::AddressPlan::production_host(origin_);
     for (const auto& t : targets) {
@@ -222,8 +210,7 @@ class ServicePlane {
   std::uint64_t ticks() const noexcept { return ticks_; }
   bool drained() const noexcept { return open_ == 0 && active_.empty(); }
 
-  void fill_report(ServiceShardReport& report, double now) const {
-    report.origin = origin_;
+  void fill_report(ServiceShardReport& report) const {
     report.clients = clients_.size();
     report.prefixes = universe_.size();
     report.ticks = ticks_;
@@ -235,13 +222,6 @@ class ServicePlane {
     report.slot_leases = slot_leases_;
     report.slot_waits = slot_waits_;
     report.open_at_end = open_;
-    report.announce_spent = announce_->bucket().spent();
-    report.announce_capacity = announce_->bucket().capacity(now);
-    report.announce_utilization = announce_->utilization(now);
-    report.announce_granted = announce_->bucket().granted();
-    report.announce_denied = announce_->bucket().denied();
-    report.probe_admitted = admission_->admitted();
-    report.probe_deferred = admission_->deferred();
     report.records = records_.held();
     report.remediate_latencies = latencies_.held();
   }
@@ -254,15 +234,15 @@ class ServicePlane {
   template <typename Io, typename Self>
   static void fields(Io& io, Self& self) {
     io.magic(kPlaneTag, kVersion);
-    std::uint64_t shard = self.shard_;
+    std::uint64_t shard = self.shard_->index;
     AsId origin = self.origin_;
     io.u64(shard);
     io.u32(origin);
     if constexpr (Io::kReading) {
-      if (shard != self.shard_) {
+      if (shard != self.shard_->index) {
         throw std::runtime_error("service checkpoint: blob is for shard " +
                                  std::to_string(shard) + ", restoring shard " +
-                                 std::to_string(self.shard_));
+                                 std::to_string(self.shard_->index));
       }
       if (origin != self.origin_) {
         throw std::runtime_error(
@@ -336,7 +316,7 @@ class ServicePlane {
  private:
   void build_universe() {
     TargetTable ptable(cfg_->prefixes, cfg_->shards);
-    universe_ = ptable.shard_universe(shard_, clients_.size());
+    universe_ = ptable.shard_universe(shard_->index, clients_.size());
     states_.assign(universe_.size(), PrefixState{});
   }
 
@@ -445,7 +425,7 @@ class ServicePlane {
   // path — a unidirectional failure truncates the responsive path at the
   // culprit's predecessor in either direction.
   bool try_isolate(ClientState& cl, double now) {
-    if (!admission_->try_admit(now)) {
+    if (!shard_->admission.try_admit(now)) {
       c_probe_deferred_->inc();
       trace_->record(now, obs::TraceKind::kAdmissionDeferred, cl.info.addr);
       return false;
@@ -454,8 +434,8 @@ class ServicePlane {
     const std::uint64_t before = budget.total();
     const auto tr = world_->prober().traceroute(
         origin_, cl.info.addr, topo::AddressPlan::production_host(origin_));
-    admission_->settle(now,
-                       static_cast<double>(budget.total() - before));
+    shard_->admission.settle(now,
+                             static_cast<double>(budget.total() - before));
     const auto cur = tr.responsive_as_path();
     cl.blamed = topo::kInvalidAs;
     for (const AsId as : cl.baseline) {
@@ -611,7 +591,7 @@ class ServicePlane {
           ++slot_waits_;
           break;
         }
-        if (!announce_->try_announce(now)) {
+        if (!shard_->announce.try_announce(now)) {
           if (st.budget_deferrals < 0xffff) ++st.budget_deferrals;
           c_announce_deferred_->inc();
           trace_->record(now, obs::TraceKind::kAnnounceDeferred, cl.info.addr,
@@ -666,10 +646,8 @@ class ServicePlane {
 
   workload::SimWorld* world_;
   const ServiceConfig* cfg_;
-  std::size_t shard_;
+  Shard* shard_;  // budgets and identity; world_ and origin_ cache its own
   AsId origin_;
-  AnnouncementBudget* announce_;
-  ProbeAdmission* admission_;
   util::Rng rng_;
   workload::OutageStream stream_;
   topo::Prefix production_;
@@ -711,15 +689,14 @@ class ServicePlane {
 // leaks into the restored metric values. Plane is const ServicePlane on
 // save.
 template <typename Io, typename Plane>
-void shard_fields(Io& io, std::size_t shard, std::uint64_t seed,
-                  workload::SimWorld& world, Plane& plane,
-                  AnnouncementBudget& announce, ProbeAdmission& admission) {
+void shard_fields(Io& io, Shard& shard, Plane& plane) {
+  workload::SimWorld& world = shard.world;
   io.magic(kShardTag, kVersion);
-  std::uint64_t blob_shard = shard;
-  std::uint64_t blob_seed = seed;
+  std::uint64_t blob_shard = shard.index;
+  std::uint64_t blob_seed = shard.seed;
   io.u64(blob_shard);
   io.u64(blob_seed);
-  if (blob_shard != shard || blob_seed != seed) {
+  if (blob_shard != shard.index || blob_seed != shard.seed) {
     throw std::runtime_error(
         "service checkpoint: shard/seed mismatch (wrong blob for this "
         "shard?)");
@@ -747,11 +724,11 @@ void shard_fields(Io& io, std::size_t shard, std::uint64_t seed,
   if constexpr (Io::kReading) {
     world.failures().restore(std::move(active), next_id);
   }
-  bucket_section(io, announce.bucket());
-  bucket_section(io, admission.bucket());
-  double estimate = admission.save_estimate();
+  bucket_section(io, shard.announce.bucket());
+  bucket_section(io, shard.admission.bucket());
+  double estimate = shard.admission.save_estimate();
   io.f64(estimate);
-  if constexpr (Io::kReading) admission.restore_estimate(estimate);
+  if constexpr (Io::kReading) shard.admission.restore_estimate(estimate);
   measure::ProbeBudget& pb = world.prober().budget();
   io.u64(pb.pings);
   io.u64(pb.traceroute_probes);
@@ -793,48 +770,24 @@ ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
 }
 
 ServiceShardReport run_service_shard(const ServiceConfig& cfg,
-                                     std::size_t shard, std::uint64_t seed,
+                                     std::size_t index, std::uint64_t seed,
                                      const ServiceRun& run) {
-  ServiceShardReport report;
-  report.shard = shard;
-  report.seed = seed;
-
-  workload::SimWorldConfig wc;
-  wc.topology = cfg.shard_topology;
-  wc.topology.seed = seed;
-  wc.engine.seed = seed + 1;
   // Remediation pacing is the announcement budget's job; a 30 s MRAI would
   // advance the clock past several service ticks on every converge.
-  wc.engine.default_mrai = 0.0;
-  wc.responsiveness.seed = seed + 2;
-  workload::SimWorld world(wc);
+  Shard shard(cfg, index, seed, /*default_mrai=*/0.0);
+  workload::SimWorld& world = shard.world;
+  ServiceShardReport report;
+  report.take_identity(shard);
+  if (shard.origin == topo::kInvalidAs) return report;  // degenerate; empty
 
-  AsId origin = topo::kInvalidAs;
-  for (const AsId as : world.topology().stubs) {
-    if (world.graph().providers(as).size() >= 2) {
-      origin = as;
-      break;
-    }
-  }
-  if (origin == topo::kInvalidAs) {
-    report.origin = origin;
-    return report;  // degenerate topology; empty shard
-  }
-  report.origin = origin;
-
-  const double shards_d = static_cast<double>(cfg.shards);
-  AnnouncementBudget announce(cfg.announce_per_hour / 3600.0 / shards_d,
-                              std::max(1.0, cfg.announce_burst / shards_d));
-  ProbeAdmission admission(cfg.probe_rate_per_second, cfg.probe_burst);
-
-  ServicePlane plane(world, cfg, shard, seed, origin, announce, admission);
+  ServicePlane plane(shard, cfg);
   if (run.restore_blob != nullptr) {
     // Drain the construction-time announcements, then reinstate the
     // checkpointed state wholesale (engine snapshot included — the replayed
     // infrastructure announcements land in the same quiesced RIBs).
     world.converge();
     util::BinReader r(*run.restore_blob);
-    shard_fields(r, shard, seed, world, plane, announce, admission);
+    shard_fields(r, shard, plane);
     if (!r.at_end()) {
       throw std::runtime_error(
           "service checkpoint: trailing bytes after the shard (corrupt blob)");
@@ -853,8 +806,7 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
     world.converge();
     if (run.checkpoint_at > 0.0 && t >= run.checkpoint_at) {
       util::BinWriter w;
-      shard_fields(w, shard, seed, world, std::as_const(plane), announce,
-                   admission);
+      shard_fields(w, shard, std::as_const(plane));
       report.checkpoint = w.take();
       checkpointed = true;
       break;
@@ -872,7 +824,8 @@ ServiceShardReport run_service_shard(const ServiceConfig& cfg,
       world.converge();
     }
   }
-  plane.fill_report(report, world.scheduler().now());
+  plane.fill_report(report);
+  report.take_budgets(shard, world.scheduler().now());
   return report;
 }
 
@@ -885,19 +838,12 @@ ServiceResult ServiceScheduler::run_impl(
         "service checkpoint: blob count " + std::to_string(blobs->size()) +
         " does not match shard count " + std::to_string(cfg_.shards));
   }
-  run::TrialRunnerConfig rc;
-  rc.threads = cfg_.threads;
-  rc.base_seed = cfg_.base_seed;
-  run::TrialRunner runner(rc);
-  auto reports = runner.run(cfg_.shards, [&](run::TrialContext& ctx) {
-    ServiceRun r = base;
-    if (blobs != nullptr) r.restore_blob = &(*blobs)[ctx.index];
-    return run_service_shard(cfg_, ctx.index, ctx.seed, r);
-  });
-  ServiceResult result;
-  result.config = cfg_;
-  result.shards = std::move(reports);
-  return result;
+  return run_shards<ServiceResult>(
+      cfg_, [&](std::size_t shard, std::uint64_t seed) {
+        ServiceRun r = base;
+        if (blobs != nullptr) r.restore_blob = &(*blobs)[shard];
+        return run_service_shard(cfg_, shard, seed, r);
+      });
 }
 
 ServiceResult ServiceScheduler::run() { return run_impl(ServiceRun{}, nullptr); }
@@ -956,36 +902,12 @@ std::vector<std::string> ServiceScheduler::read_checkpoint(
   std::vector<std::string> blobs;
   blobs.reserve(n);
   for (std::size_t i = 0; i < n; ++i) blobs.push_back(r.str());
+  if (!r.at_end()) {
+    throw std::runtime_error(
+        "service checkpoint: trailing bytes after the last shard (corrupt "
+        "file)");
+  }
   return blobs;
-}
-
-std::uint64_t ServiceResult::episodes_opened() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.episodes_opened;
-  return n;
-}
-
-std::uint64_t ServiceResult::episodes_closed() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.episodes_closed;
-  return n;
-}
-
-std::uint64_t ServiceResult::outcome_count(EpisodeOutcome o) const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.outcomes[static_cast<std::size_t>(o)];
-  return n;
-}
-
-std::uint64_t ServiceResult::outages_injected() const {
-  std::uint64_t n = 0;
-  for (const auto& s : shards) n += s.outages_injected;
-  return n;
-}
-
-double ServiceResult::episodes_per_sim_hour() const {
-  const double hours = config.horizon_seconds / 3600.0;
-  return hours > 0.0 ? static_cast<double>(episodes_closed()) / hours : 0.0;
 }
 
 std::vector<double> ServiceResult::remediate_latencies() const {
@@ -996,16 +918,6 @@ std::vector<double> ServiceResult::remediate_latencies() const {
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-bool ServiceResult::budget_respected() const {
-  for (const auto& s : shards) {
-    if (s.announce_spent > s.announce_capacity + 1e-6) return false;
-    if (s.announce_utilization < 0.0 || s.announce_utilization > 1.0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::string ServiceResult::fingerprint() const {

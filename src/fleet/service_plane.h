@@ -7,8 +7,9 @@
 // The service plane generalizes the fleet to that shape:
 //
 //  * a keyed universe of (prefix, origin-policy) pairs — ServicedPrefix —
-//    partitioned over the same fixed shard count as the fleet (the shard
-//    count, never the thread count, defines the partition);
+//    partitioned over the same shards as the fleet: both hosts build their
+//    worlds, budgets and fan-out from fleet/shard.h (the shard count, never
+//    the thread count, defines the partition);
 //  * per-prefix episode state machines (MONITOR → ISOLATE → REMEDIATE →
 //    VERIFY → HOLDDOWN) reusing the fleet's escalation policy
 //    (EpisodeManager::holddown_duration) and outcome vocabulary;
@@ -37,37 +38,33 @@
 // steady-state RSS is flat no matter how long the stream runs.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fleet/episode_manager.h"
+#include "fleet/shard.h"
 #include "fleet/target_table.h"
-#include "topology/generator.h"
 
 namespace lg::fleet {
 
-struct ServiceConfig {
+// horizon_seconds bounds one harness run; the plane itself is open-ended.
+struct ServiceConfig : ShardPlan {
+  ServiceConfig() {
+    base_seed = 0x73727670ULL;  // "srvp"
+    warmup_seconds = 300.0;
+    outage_duration_cap_seconds = 1800.0;
+  }
+
   // Serviced (prefix, origin-policy) pairs across the whole fleet.
   std::size_t prefixes = 2000;
   // Monitored client destinations across the fleet; each serviced prefix
   // maps onto one client (key % clients) whose reachability stands in for
   // the prefix's.
   std::size_t clients = 256;
-  // Fixed shard count — the unit of determinism and parallelism.
-  std::size_t shards = 16;
-  // 0 = LG_THREADS / hardware (never affects output, only wall-clock).
-  std::size_t threads = 0;
-  std::uint64_t base_seed = 0x73727670ULL;  // "srvp"
-  // Length of the streaming trace in simulated seconds. The plane itself is
-  // open-ended; the horizon only bounds one harness run.
-  double horizon_seconds = 2.0 * 3600.0;
   // Service tick: ping cadence, state-machine step, failure expiry check.
   double tick_seconds = 30.0;
-  // Outage injection starts here (baseline must be converged first).
-  double warmup_seconds = 300.0;
   // After the horizon, keep ticking (without new injections) until
   // everything settles, at most this long.
   double drain_cap_seconds = 2.0 * 3600.0;
@@ -75,23 +72,10 @@ struct ServiceConfig {
   // production /24. At most 15: the /28 containing the production host
   // address is never leased, so detection pings keep riding the baseline.
   std::size_t slots = 8;
-  // Fleet-wide announcement budget (split over shards) and per-shard probe
-  // admission, as in FleetConfig.
-  double announce_per_hour = 60.0;
-  double announce_burst = 16.0;
-  double probe_rate_per_second = 10.0;
-  double probe_burst = 600.0;
-  // Fleet-wide streaming outage arrival rate (split over shards).
-  double outages_per_hour = 24.0;
-  double outage_duration_cap_seconds = 1800.0;
-  // Fraction of outages failing the reverse path toward the origin.
-  double reverse_fraction = 0.8;
   // Bounded per-shard rings: closed-episode records and remediation
   // latencies kept for reporting; older entries fold into the fingerprint.
   std::size_t record_ring = 4096;
   std::size_t latency_ring = 4096;
-  topo::TopologyParams shard_topology;
-  EpisodeConfig episode;
 
   // Apply LG_SERVICE_PREFIXES / LG_SERVICE_CLIENTS / LG_SERVICE_HORIZON
   // (seconds) / LG_SERVICE_TICK (seconds) / LG_SERVICE_OUTAGE_RATE (per
@@ -120,31 +104,15 @@ struct ServiceEpisodeRecord {
   std::uint16_t budget_deferrals = 0;
 };
 
-struct ServiceShardReport {
-  std::size_t shard = 0;
-  std::uint64_t seed = 0;
-  AsId origin = topo::kInvalidAs;
+struct ServiceShardReport : ShardTotals {
   std::size_t clients = 0;
   std::size_t prefixes = 0;
   std::uint64_t ticks = 0;
-  std::uint64_t outages_injected = 0;
-  std::uint64_t episodes_opened = 0;
-  std::uint64_t episodes_closed = 0;
-  // Indexed by EpisodeOutcome (slot 6 = kCaptive, adversarial runs only).
-  std::array<std::uint64_t, 7> outcomes{};
   // Rolling FNV-1a over every closed record, in close order — the compact
   // determinism surface even after the record ring evicts history.
   std::uint64_t fingerprint = 0;
-  double announce_spent = 0.0;
-  double announce_capacity = 0.0;
-  double announce_utilization = 0.0;  // must be in [0, 1] — asserted by benches
-  std::uint64_t announce_granted = 0;
-  std::uint64_t announce_denied = 0;
-  std::uint64_t probe_admitted = 0;
-  std::uint64_t probe_deferred = 0;
   std::uint64_t slot_leases = 0;
   std::uint64_t slot_waits = 0;
-  std::size_t open_at_end = 0;
   // Bounded ring contents, oldest first.
   std::vector<ServiceEpisodeRecord> records;
   // detected -> remediated latencies of remediated episodes (bounded ring).
@@ -153,20 +121,9 @@ struct ServiceShardReport {
   std::string checkpoint;
 };
 
-struct ServiceResult {
-  ServiceConfig config;
-  std::vector<ServiceShardReport> shards;
-
-  std::uint64_t episodes_opened() const;
-  std::uint64_t episodes_closed() const;
-  std::uint64_t outcome_count(EpisodeOutcome o) const;
-  std::uint64_t outages_injected() const;
-  // Closed episodes per simulated hour.
-  double episodes_per_sim_hour() const;
+struct ServiceResult : ShardResults<ServiceConfig, ServiceShardReport> {
   // Merged remediation latencies, sorted.
   std::vector<double> remediate_latencies() const;
-  // Every shard inside its announcement cap with utilization in [0, 1].
-  bool budget_respected() const;
   // Stable textual digest (per-shard counters + ring records + FNV) —
   // equal strings mean byte-identical service-plane behaviour.
   std::string fingerprint() const;

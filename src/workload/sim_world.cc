@@ -80,4 +80,11 @@ std::vector<AsId> SimWorld::stub_vantage_ases(std::size_t n) const {
   return out;
 }
 
+AsId SimWorld::first_multihomed_stub() const {
+  for (const AsId as : topo_.stubs) {
+    if (topo_.graph.providers(as).size() >= 2) return as;
+  }
+  return topo::kInvalidAs;
+}
+
 }  // namespace lg::workload

@@ -83,6 +83,9 @@ class SimWorld {
   std::vector<AsId> feed_ases(std::size_t n) const;
   // Stub ASes usable as PlanetLab-style vantage points.
   std::vector<AsId> stub_vantage_ases(std::size_t n) const;
+  // The first stub with at least two providers — LIFEGUARD's premise is an
+  // edge network with provider choice — or kInvalidAs if there is none.
+  AsId first_multihomed_stub() const;
 
   // Checkpoint support: after Scheduler::restore_state rewrites the executed
   // counter underneath us, re-baseline the delta publisher so the next

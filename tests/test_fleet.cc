@@ -159,11 +159,9 @@ class FleetEpisodeTest : public ::testing::Test {
   FleetEpisodeTest() : world_(workload::SimWorld::small_config(31)) {}
 
   AsId pick_origin() {
-    for (const AsId as : world_.topology().stubs) {
-      if (world_.graph().providers(as).size() >= 2) return as;
-    }
-    ADD_FAILURE() << "no multihomed stub in topology";
-    return topo::kInvalidAs;
+    const AsId as = world_.first_multihomed_stub();
+    if (as == topo::kInvalidAs) ADD_FAILURE() << "no multihomed stub";
+    return as;
   }
 
   void announce_world(AsId origin) {
@@ -408,9 +406,9 @@ fleet::FleetConfig small_fleet_config() {
 TEST(FleetSchedulerTest, FingerprintIdenticalAcrossThreadCounts) {
   auto cfg = small_fleet_config();
   cfg.threads = 1;
-  const auto serial = fleet::FleetScheduler(cfg).run();
+  const auto serial = fleet::run_fleet(cfg);
   cfg.threads = 4;
-  const auto parallel = fleet::FleetScheduler(cfg).run();
+  const auto parallel = fleet::run_fleet(cfg);
 
   EXPECT_GT(serial.episodes_opened(), 0u) << "sweep injected no episodes";
   EXPECT_EQ(serial.fingerprint(), parallel.fingerprint());
@@ -419,13 +417,21 @@ TEST(FleetSchedulerTest, FingerprintIdenticalAcrossThreadCounts) {
 }
 
 TEST(FleetSchedulerTest, RunSettlesAndRespectsAnnouncementBudget) {
-  const auto result = fleet::FleetScheduler(small_fleet_config()).run();
+  const auto result = fleet::run_fleet(small_fleet_config());
   EXPECT_TRUE(result.budget_respected());
   for (const auto& shard : result.shards) {
     EXPECT_EQ(shard.open_at_end, 0u) << "shard " << shard.shard;
     EXPECT_EQ(shard.poisons_at_end, 0u) << "shard " << shard.shard;
     EXPECT_LE(shard.announce_spent, shard.announce_capacity + 1e-6)
         << "shard " << shard.shard;
+    // The shared counters are filled from the episode records.
+    EXPECT_EQ(shard.episodes_opened, shard.episodes.size())
+        << "shard " << shard.shard;
+    std::uint64_t outcomes = 0;
+    for (const std::uint64_t n : shard.outcomes) outcomes += n;
+    EXPECT_EQ(outcomes, shard.episodes_opened) << "shard " << shard.shard;
+    EXPECT_GE(shard.announce_utilization, 0.0) << "shard " << shard.shard;
+    EXPECT_LE(shard.announce_utilization, 1.0) << "shard " << shard.shard;
   }
   EXPECT_EQ(result.episodes_closed(), result.episodes_opened());
 }

@@ -9,11 +9,16 @@
 //  * checkpoint/restore — an interrupted shard resumed from its blob
 //    finishes with exactly the state an uninterrupted run reaches, the
 //    blob's bytes are pinned, and foreign, corrupted or truncated blobs are
-//    rejected or restore into a run that completes.
+//    rejected or restore into a run that completes;
+//  * ServiceScheduler — a run resumed from a checkpoint file and a run at
+//    another thread count match the uninterrupted run, and the file
+//    container rejects trailing bytes and a foreign shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
@@ -319,6 +324,53 @@ TEST(ServicePlaneTest, RestoreRejectsForeignAndCorruptBlobs) {
           << tag << " at " << at;
     }
   }
+}
+
+// ------------------------------------------------------- service scheduler
+
+TEST(ServiceSchedulerTest, ResumeAndThreadCountLeaveTheRunUnchanged) {
+  fleet::ServiceConfig cfg = small_service_config();
+  cfg.threads = 1;
+  const auto serial = fleet::ServiceScheduler(cfg).run();
+  EXPECT_GT(serial.episodes_opened(), 0u);
+  EXPECT_TRUE(serial.budget_respected());
+
+  cfg.threads = 4;
+  fleet::ServiceScheduler scheduler(cfg);
+  EXPECT_EQ(scheduler.run().fingerprint(), serial.fingerprint());
+
+  const auto half = scheduler.run_until(900.0);
+  const std::string path = ::testing::TempDir() + "service_scheduler.ckpt";
+  fleet::ServiceScheduler::write_checkpoint(half, path);
+  const auto blobs = fleet::ServiceScheduler::read_checkpoint(path, cfg.shards);
+  std::remove(path.c_str());
+  ASSERT_EQ(blobs.size(), cfg.shards);
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    EXPECT_EQ(blobs[i], half.shards[i].checkpoint) << "shard " << i;
+  }
+  EXPECT_EQ(scheduler.resume(blobs).fingerprint(), serial.fingerprint());
+}
+
+// The checkpoint file is operator input: a byte after the last shard blob or
+// a shard count other than the config's must be rejected.
+TEST(ServiceSchedulerTest, CheckpointFileRejectsTrailingBytesAndShardCount) {
+  fleet::ServiceResult result;
+  result.shards.resize(3);
+  for (std::size_t i = 0; i < result.shards.size(); ++i) {
+    result.shards[i].checkpoint = "shard blob " + std::to_string(i);
+  }
+  const std::string path = ::testing::TempDir() + "service_file.ckpt";
+  fleet::ServiceScheduler::write_checkpoint(result, path);
+  const auto blobs = fleet::ServiceScheduler::read_checkpoint(path, 3);
+  ASSERT_EQ(blobs.size(), 3u);
+  EXPECT_EQ(blobs[2], "shard blob 2");
+  EXPECT_THROW(fleet::ServiceScheduler::read_checkpoint(path, 4),
+               std::runtime_error);
+
+  std::ofstream(path, std::ios::binary | std::ios::app).put('\0');
+  EXPECT_THROW(fleet::ServiceScheduler::read_checkpoint(path, 3),
+               std::runtime_error);
+  std::remove(path.c_str());
 }
 
 }  // namespace

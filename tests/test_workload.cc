@@ -135,6 +135,16 @@ TEST(SimWorldTest, StubVantagePointsAreSpreadAndUnique) {
   EXPECT_EQ(unique.size(), vps.size());
 }
 
+TEST(SimWorldTest, FirstMultihomedStubIsFirstStubWithTwoProviders) {
+  workload::SimWorld world(workload::SimWorld::small_config(5));
+  const auto& stubs = world.topology().stubs;
+  const auto first = std::find_if(stubs.begin(), stubs.end(), [&](AsId as) {
+    return world.graph().providers(as).size() >= 2;
+  });
+  ASSERT_NE(first, stubs.end());
+  EXPECT_EQ(world.first_multihomed_stub(), *first);
+}
+
 TEST(ScenarioTest, ReverseScenarioGroundTruthOnReversePath) {
   workload::SimWorld world(workload::SimWorld::small_config(13));
   const auto vps = world.stub_vantage_ases(4);
