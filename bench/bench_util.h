@@ -110,6 +110,7 @@ class JsonReport {
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;
   ~JsonReport() {
+    if (discarded_) return;
     report_.capture_metrics();
     report_.capture_traces();
     report_.capture_spans();
@@ -132,9 +133,12 @@ class JsonReport {
 
   obs::RunReport* operator->() { return &report_; }
   obs::RunReport& get() { return report_; }
+  // Write no report: the run it would describe did not happen.
+  void discard() { discarded_ = true; }
 
  private:
   obs::RunReport report_;
+  bool discarded_ = false;
 };
 
 }  // namespace lg::bench

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -147,8 +148,17 @@ int main() {
         "service plane", cfg.shards,
         cfg.threads ? cfg.threads : util::default_thread_count());
     if (restore_path != nullptr && restore_path[0] != '\0') {
-      result = scheduler.resume(
-          fleet::ServiceScheduler::read_checkpoint(restore_path, cfg.shards));
+      // A checkpoint file is operator input: a rejected one ends the run
+      // with a diagnostic and exit 1.
+      try {
+        result = scheduler.resume(
+            fleet::ServiceScheduler::read_checkpoint(restore_path, cfg.shards));
+      } catch (const std::runtime_error& e) {
+        std::fprintf(stderr, "sec6_service_plane: cannot restore %s: %s\n",
+                     restore_path, e.what());
+        jr.discard();
+        return 1;
+      }
     } else if (checkpoint_at > 0.0) {
       result = scheduler.run_until(checkpoint_at);
     } else {

@@ -8,21 +8,22 @@
 // UpdateMessage. With a plain std::vector each stage copies; at Internet
 // scale (70k speakers x degree slots) those copies dominate RIB memory.
 // CommunitiesRef interns the set into one shared immutable buffer, so a
-// route's communities cost 16 bytes per holder plus one shared allocation
-// per *distinct* set per origination.
+// route's communities cost one pointer per holder plus one shared
+// allocation per *distinct* set per origination.
 //
 // The empty set — the overwhelmingly common case — holds nullptr and never
 // allocates. Buffers are immutable after construction, so sharing across
-// lg::run trial workers is safe (atomic refcounts); to modify, build a new
-// Communities and wrap it.
+// lg::run trial workers is safe (atomic refcounts, see bgp/shared_vec.h);
+// to modify, build a new Communities and wrap it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
-#include <memory>
 #include <utility>
 #include <vector>
+
+#include "bgp/shared_vec.h"
 
 namespace lg::bgp {
 
@@ -36,23 +37,21 @@ class CommunitiesRef {
   // Implicit by design, mirroring PathRef: every Communities producer
   // (origin policies, literals in tests) yields a CommunitiesRef at the
   // assignment site.
-  CommunitiesRef(Communities comm)
-      : data_(comm.empty()
-                  ? nullptr
-                  : std::make_shared<const Communities>(std::move(comm))) {}
+  CommunitiesRef(Communities comm) : data_(std::move(comm)) {}
   CommunitiesRef(std::initializer_list<Community> values)
       : CommunitiesRef(Communities(values)) {}
 
   // The shared buffer (a static empty vector when unset). The reference is
   // valid as long as any CommunitiesRef sharing the buffer lives.
   const Communities& get() const noexcept {
-    return data_ ? *data_ : empty_set();
+    const Communities* p = data_.get();
+    return p != nullptr ? *p : empty_set();
   }
   operator const Communities&() const noexcept { return get(); }
 
-  bool empty() const noexcept { return data_ == nullptr || data_->empty(); }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  Community operator[](std::size_t i) const noexcept { return (*data_)[i]; }
+  bool empty() const noexcept { return data_.get() == nullptr; }
+  std::size_t size() const noexcept { return get().size(); }
+  Community operator[](std::size_t i) const noexcept { return get()[i]; }
   auto begin() const noexcept { return get().begin(); }
   auto end() const noexcept { return get().end(); }
 
@@ -60,7 +59,7 @@ class CommunitiesRef {
   // the common path on re-export diff checks).
   friend bool operator==(const CommunitiesRef& a,
                          const CommunitiesRef& b) noexcept {
-    return a.data_ == b.data_ || a.get() == b.get();
+    return a.data_.get() == b.data_.get() || a.get() == b.get();
   }
   friend bool operator==(const CommunitiesRef& a,
                          const Communities& b) noexcept {
@@ -70,7 +69,7 @@ class CommunitiesRef {
  private:
   static const Communities& empty_set() noexcept;
 
-  std::shared_ptr<const Communities> data_;
+  SharedVec<Community> data_;
 };
 
 }  // namespace lg::bgp

@@ -54,12 +54,14 @@ BgpEngine::BgpEngine(const topo::AsGraph& graph, util::Scheduler& sched,
     }
   }
   build_sessions(graph);
+  store_ = RibStore(static_cast<std::uint32_t>(n),
+                    static_cast<std::uint32_t>(sess_peer_.size()));
   speakers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::uint32_t i = 0; i < n; ++i) {
     const std::uint32_t base = sess_base_[i];
     const SessionRow row{sess_peer_.data() + base, sess_rel_.data() + base,
                          sess_base_[i + 1] - base};
-    speakers_.emplace_back(as_ids_[i], graph, row, prefixes_);
+    speakers_.emplace_back(as_ids_[i], graph, row, store_, i, base);
   }
   sent_by_.assign(n, 0);
   best_changes_.assign(n, 0);
@@ -183,14 +185,14 @@ std::uint32_t BgpEngine::session_owner(std::uint32_t session) const noexcept {
 
 void BgpEngine::originate(AsId as, const Prefix& prefix, OriginPolicy policy) {
   const std::uint32_t idx = checked_index(as);
-  const PrefixId id = prefixes_.intern(prefix);
+  const PrefixId id = store_.intern(prefix);
   speakers_[idx].set_origin_policy(id, std::move(policy));
   schedule_exports(idx, id);
 }
 
 void BgpEngine::withdraw(AsId as, const Prefix& prefix) {
   const std::uint32_t idx = checked_index(as);
-  const PrefixId id = prefixes_.intern(prefix);
+  const PrefixId id = store_.intern(prefix);
   speakers_[idx].clear_origin_policy(id);
   schedule_exports(idx, id);
 }
@@ -210,14 +212,10 @@ double BgpEngine::mrai_for(std::uint32_t from) {
   return rng_.uniform(lo, base);
 }
 
-BgpEngine::MraiState& BgpEngine::mrai_state(std::uint32_t session,
-                                            PrefixId prefix) {
-  // Speakers may intern prefixes through their own Prefix-keyed API, so the
-  // outer table grows on demand rather than at intern time.
-  if (prefix >= mrai_.size()) mrai_.resize(prefix + 1);
-  std::vector<MraiState>& table = mrai_[prefix];
-  if (table.empty()) table.resize(sess_peer_.size());
-  return table[session];
+MraiState& BgpEngine::mrai_state(std::uint32_t session, PrefixId prefix) {
+  PrefixRib& r = store_.at(prefix);
+  r.mrai_live = true;
+  return r.mrai[session];
 }
 
 void BgpEngine::try_send(std::uint32_t from, std::uint32_t session,
@@ -271,7 +269,7 @@ void BgpEngine::send_now(std::uint32_t from_idx, std::uint32_t session,
   UpdateMessage msg;
   msg.from = from;
   msg.to = to;
-  msg.prefix = prefixes_.prefix(prefix);
+  msg.prefix = store_.prefix(prefix);
   msg.prefix_id = prefix;
   msg.to_slot = sess_peer_slot_[session];
   msg.seq = ++mrai.next_seq;
@@ -431,7 +429,8 @@ std::size_t BgpEngine::deliver_run(std::uint32_t to,
     // the receiver's own row (the reverse session).
     if (faults_on) {
       std::uint32_t& applied =
-          mrai_[msg.prefix_id][sess_base_[to] + msg.to_slot].applied_seq;
+          store_.at(msg.prefix_id).mrai[sess_base_[to] + msg.to_slot]
+              .applied_seq;
       if (msg.seq <= applied) {
         c_updates_stale_dropped_->inc();
         trace_->record(now, obs::TraceKind::kStaleUpdateDropped, msg.from,
@@ -506,7 +505,7 @@ void BgpEngine::notify(std::uint32_t as, PrefixId prefix) {
   RouteEvent event;
   event.time = sched_->now();
   event.as = as_ids_[as];
-  event.prefix = prefixes_.prefix(prefix);
+  event.prefix = store_.prefix(prefix);
   if (const Route* best = speakers_[as].best_route(prefix)) {
     event.best = *best;
   }
@@ -538,32 +537,27 @@ void BgpEngine::reset_counters() {
 void BgpEngine::reexport_all() {
   for (std::uint32_t i = 0; i < speakers_.size(); ++i) {
     for (const Prefix& prefix : speakers_[i].known_prefixes()) {
-      schedule_exports(i, prefixes_.find(prefix));
+      schedule_exports(i, store_.find(prefix));
     }
   }
 }
 
 BgpEngine::RibMemoryTotals BgpEngine::rib_memory() const {
   RibMemoryTotals t;
-  for (const BgpSpeaker& spk : speakers_) {
-    const BgpSpeaker::RibMemory m = spk.rib_memory();
-    t.bytes += m.bytes;
-    t.routes += m.routes;
-    t.adj_out_slots += m.adj_out_slots;
-    t.prefix_states += m.prefixes;
-  }
-  // Engine-side state: the session CSR, the prefix interner and the flat
-  // MRAI tables.
+  const RibStore::Usage u = store_.usage(
+      0, static_cast<std::uint32_t>(speakers_.size()), 0,
+      static_cast<std::uint32_t>(sess_peer_.size()));
+  t.routes = u.routes;
+  t.adj_out_slots = u.adj_out_slots;
+  t.prefix_states = u.held;
+  // The store (RIB tables, MRAI rows, interner), the speaker views, the
+  // session CSR and the frontier pool.
+  t.bytes = store_.memory_bytes() + speakers_.capacity() * sizeof(BgpSpeaker);
   t.bytes += sess_base_.capacity() * sizeof(std::uint32_t) +
              sess_peer_.capacity() * sizeof(AsId) +
              sess_rel_.capacity() * sizeof(topo::Rel) +
              sess_peer_slot_.capacity() * sizeof(std::uint32_t) +
              sess_export_.capacity() * sizeof(std::uint32_t);
-  t.bytes += prefixes_.memory_bytes();
-  t.bytes += mrai_.capacity() * sizeof(mrai_[0]);
-  for (const auto& table : mrai_) {
-    t.bytes += table.capacity() * sizeof(MraiState);
-  }
   t.bytes += msg_pool_.spare_bytes();
   return t;
 }

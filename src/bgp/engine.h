@@ -19,13 +19,18 @@
 // (originate/withdraw), and every directed session has a dense index in a
 // compressed-sparse-row layout over the AS indices (the session CSR). Each
 // AS's row lists its neighbors in ascending id order, so a session's offset
-// in its row is the neighbor *slot* every speaker RIB table is indexed by;
-// speakers read their row instead of keeping their own copy. Per-(session,
-// prefix) MRAI state is one flat vector per PrefixId indexed by session.
-// Updates carry their PrefixId and the receiver's slot, exports walk a
-// per-AS list of slots in graph neighbor order (the order that fixes the
-// RNG draws), and MRAI flush closures capture only (session, PrefixId), so
-// they fit std::function's inline buffer.
+// in its row is the neighbor *slot*; speakers read their row instead of
+// keeping their own copy.
+//
+// Prefix-major storage. The engine owns one RibStore (bgp/rib_store.h): a
+// record per PrefixId, allocated when the prefix is interned, with arrays
+// over all directed sessions (Adj-RIB-In, Adj-RIB-Out, the MRAI row) indexed
+// by session, and arrays over the AS indices (best route, export cache,
+// flags). Each BgpSpeaker is a view of its AS index and session row over the
+// store. Updates carry their PrefixId and the receiver's slot, exports walk a
+// per-AS list of slots in graph neighbor order (the order that fixes the RNG
+// draws), and MRAI flush closures capture only (session, PrefixId), so they
+// fit std::function's inline buffer.
 #pragma once
 
 #include <cstdint>
@@ -154,15 +159,16 @@ class BgpEngine {
   // Time of the last delivered message since reset (global convergence end).
   double last_activity_time() const noexcept { return last_activity_; }
 
-  // Deterministic structural memory accounting across every speaker plus
-  // the engine's own per-session state (MRAI tables, frontier pool). Shared
-  // path/community buffers are excluded (they cost one allocation per
-  // distinct buffer, not per holder); see docs/TOPOLOGIES.md for the model.
+  // Deterministic structural memory accounting: the RIB store (every
+  // speaker's tables and the MRAI rows), the speakers, the session CSR and
+  // the frontier pool. Shared path/community buffers are excluded (they
+  // cost one allocation per distinct buffer, not per holder); see
+  // docs/TOPOLOGIES.md for the model.
   struct RibMemoryTotals {
     std::size_t bytes = 0;          // container footprint in bytes
     std::size_t routes = 0;         // resident Adj-RIB-In entries
     std::size_t adj_out_slots = 0;  // advertised Adj-RIB-Out entries
-    std::size_t prefix_states = 0;  // per-speaker prefix states
+    std::size_t prefix_states = 0;  // (AS, prefix) states held
   };
   RibMemoryTotals rib_memory() const;
 
@@ -181,20 +187,6 @@ class BgpEngine {
   void load_snapshot(util::BinReader& r);
 
  private:
-  // Per-(directed session, prefix) state, indexed by the session's CSR
-  // index in the prefix's flat table.
-  struct MraiState {
-    double ready_at = 0.0;
-    // Monotone send counter stamped into every UpdateMessage on this
-    // session, so delivery can reject superseded in-flight updates.
-    std::uint32_t next_seq = 0;
-    // Highest seq applied from the peer on the reverse session. Lives in
-    // the receiving AS's own row and is written only when the fault plane
-    // is on, the one source of reordering.
-    std::uint32_t applied_seq = 0;
-    bool flush_scheduled = false;
-  };
-
   // Prefix-level before/after snapshot so a frontier that flip-flops a best
   // route inside one quantum produces no spurious route event or export.
   struct PrefixTouch {
@@ -285,12 +277,8 @@ class BgpEngine {
   // Per row, the slots in graph neighbor order: the export order, which
   // fixes the order of MRAI-jitter and link-delay draws.
   std::vector<std::uint32_t> sess_export_;
-  PrefixInterner prefixes_;
-  // Per-(session, prefix) MRAI state: one flat table per PrefixId, indexed
-  // by session and allocated on the prefix's first send. At Internet scale
-  // this is a handful of contiguous tables instead of millions of hash
-  // nodes: 24 bytes/session, no hashing.
-  std::vector<std::vector<MraiState>> mrai_;
+  // The prefix-major RIB: every speaker's tables and the MRAI rows.
+  RibStore store_;
   std::vector<RouteObserver*> observers_;
 
   // Frontier buckets keyed by quantum index (bucket time = key * quantum).

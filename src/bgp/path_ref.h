@@ -10,16 +10,16 @@
 // shares it for the price of a refcount.
 //
 // The buffer is immutable after construction, so sharing across lg::run
-// worker threads is safe (shared_ptr refcounts are atomic); to modify a
-// path, build a new AsPath and wrap it.
+// worker threads is safe (the refcount is atomic, see bgp/shared_vec.h); to
+// modify a path, build a new AsPath and wrap it. A PathRef is one pointer.
 #pragma once
 
 #include <cstddef>
 #include <initializer_list>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "bgp/shared_vec.h"
 #include "topology/as_graph.h"
 
 namespace lg::bgp {
@@ -32,27 +32,28 @@ class PathRef {
 
   // Implicit by design: every AsPath producer (baseline_path, poisoned_path,
   // literals in tests) yields a PathRef at the assignment site.
-  PathRef(AsPath path)
-      : data_(path.empty() ? nullptr
-                           : std::make_shared<const AsPath>(std::move(path))) {}
+  PathRef(AsPath path) : data_(std::move(path)) {}
   PathRef(std::initializer_list<topo::AsId> hops) : PathRef(AsPath(hops)) {}
 
   // The shared buffer (a static empty vector when unset). The reference is
   // valid as long as any PathRef sharing the buffer lives.
-  const AsPath& get() const noexcept { return data_ ? *data_ : empty_path(); }
+  const AsPath& get() const noexcept {
+    const AsPath* p = data_.get();
+    return p != nullptr ? *p : empty_path();
+  }
   operator const AsPath&() const noexcept { return get(); }
 
-  bool empty() const noexcept { return data_ == nullptr || data_->empty(); }
-  std::size_t size() const noexcept { return data_ ? data_->size() : 0; }
-  topo::AsId operator[](std::size_t i) const noexcept { return (*data_)[i]; }
-  topo::AsId front() const { return data_->front(); }
-  topo::AsId back() const { return data_->back(); }
+  bool empty() const noexcept { return data_.get() == nullptr; }
+  std::size_t size() const noexcept { return get().size(); }
+  topo::AsId operator[](std::size_t i) const noexcept { return get()[i]; }
+  topo::AsId front() const { return get().front(); }
+  topo::AsId back() const { return get().back(); }
   auto begin() const noexcept { return get().begin(); }
   auto end() const noexcept { return get().end(); }
 
   // Content equality, with a same-buffer fast path.
   friend bool operator==(const PathRef& a, const PathRef& b) noexcept {
-    return a.data_ == b.data_ || a.get() == b.get();
+    return a.data_.get() == b.data_.get() || a.get() == b.get();
   }
   friend bool operator==(const PathRef& a, const AsPath& b) noexcept {
     return a.get() == b;
@@ -61,7 +62,7 @@ class PathRef {
  private:
   static const AsPath& empty_path() noexcept;
 
-  std::shared_ptr<const AsPath> data_;
+  SharedVec<topo::AsId> data_;
 };
 
 }  // namespace lg::bgp

@@ -7,6 +7,12 @@
 // interned its prefixes in a different order. Shared path/community buffers
 // go through the SnapshotWriterPools/SnapshotReaderPools intern
 // (bgp/snapshot.h) so sharing survives the round trip.
+//
+// The prefix-major store (bgp/rib_store.h) is written speaker by speaker in
+// the format a per-speaker layout gave it: each speaker's slice of every
+// prefix it holds, its Adj-RIB-In/Out tables 0 wide until their first use
+// (the RibFlag bits record that), so the format does not depend on the
+// in-memory layout.
 #include <algorithm>
 #include <stdexcept>
 #include <string>
@@ -49,13 +55,6 @@ template <typename Io, typename H>
 void hint_fields(Io& io, H& h) {
   io.u32(h.as);
   io.opt(h.link, [&](auto& k) { link_fields(io, k); });
-}
-
-// A sparse (slot, hint) side-table entry.
-template <typename Io, typename E>
-void slot_hint_fields(Io& io, E& e) {
-  io.u32(e.first);
-  hint_fields(io, e.second);
 }
 
 template <typename Io, typename R, typename Pools>
@@ -136,80 +135,114 @@ void BgpSpeaker::snapshot_fields(Io& io, Self& self, Pools& pools) {
   io.size(cfg.path_length_limit);
   io.b(cfg.peerlock_filter);
 
-  // Prefix states in ascending prefix order for a deterministic byte
-  // stream; a load re-interns each prefix in the restoring engine.
-  using State =
-      std::conditional_t<std::is_const_v<Self>, const PrefixState, PrefixState>;
-  std::vector<std::pair<Prefix, State*>> items;
+  // Held prefixes in ascending prefix order for a deterministic byte
+  // stream; a load re-interns each prefix in the restoring engine. The
+  // store is reached through a pointer, so it is mutable on save too; a
+  // save only reads it.
+  RibStore& store = *self.store_;
+  const std::uint32_t me = self.index_;
+  const std::uint32_t first = self.first_;
+  const std::uint32_t degree = self.row_.degree;
+  std::vector<std::pair<Prefix, PrefixId>> items;
   if constexpr (Io::kReading) {
-    self.states_.clear();
+    store.clear_as(me, first, degree);
   } else {
-    for (PrefixId pid = 0; pid < self.states_.size(); ++pid) {
-      if (self.states_[pid]) {
-        items.emplace_back(self.prefixes_->prefix(pid), self.states_[pid].get());
+    for (PrefixId pid = 0; pid < store.size(); ++pid) {
+      if (store.at(pid).flags[me] & kHeld) {
+        items.emplace_back(store.prefix(pid), pid);
       }
     }
     std::sort(items.begin(), items.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
+  // This AS's entry of a per-AS side-table vector: a (slot, value) list
+  // written as a counted vector, empty when the vector is unallocated.
+  const auto side_fields = [&](auto& tables, std::size_t min_record_bytes,
+                               const char* what, auto&& entry_fields) {
+    using Table = typename std::decay_t<decltype(tables)>::value_type;
+    if constexpr (Io::kReading) {
+      Table t;
+      io.vec(t, min_record_bytes, entry_fields);
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        if (t[i].first >= degree || (i > 0 && t[i - 1].first >= t[i].first)) {
+          throw std::runtime_error(std::string("snapshot: ") + what +
+                                   " slot out of range or order");
+        }
+      }
+      if (!t.empty()) *self.side(tables, true) = std::move(t);
+    } else {
+      static const Table kNone;
+      io.vec(tables.empty() ? kNone : tables[me], min_record_bytes,
+             entry_fields);
+    }
+  };
+  const auto hint_entry = [&](auto& e) {
+    io.u32(e.first);
+    hint_fields(io, e.second);
+  };
+
   std::size_t n_prefixes = items.size();
   io.count(n_prefixes, 8);
   for (std::size_t p = 0; p < n_prefixes; ++p) {
     Prefix prefix;
-    State* stp = nullptr;
-    if constexpr (!Io::kReading) std::tie(prefix, stp) = items[p];
+    PrefixId pid = kNoPrefixId;
+    if constexpr (!Io::kReading) std::tie(prefix, pid) = items[p];
     prefix_fields(io, prefix);
     if constexpr (Io::kReading) {
-      const PrefixId pid = self.prefixes_->intern(prefix);
-      if (self.find_state(pid) != nullptr) {
+      pid = store.intern(prefix);
+      if (store.at(pid).flags[me] & kHeld) {
         throw std::runtime_error("snapshot: duplicate prefix state");
       }
-      stp = &self.state_for(pid);
+      self.hold(pid);
     }
-    State& st = *stp;
+    PrefixRib& r = store.at(pid);
+    std::uint8_t& flags = r.flags[me];
 
-    std::size_t n_in = st.in_path.size();
+    // The Adj-RIB-In and Adj-RIB-Out tables are written 0 wide until their
+    // first use (kInSized / kOutSized).
+    std::size_t n_in = (flags & kInSized) ? degree : 0;
     io.count(n_in, 9);
     if constexpr (Io::kReading) {
-      check_width(n_in, self.row_.degree, "Adj-RIB-In");
-      st.in_path.resize(n_in);
-      st.in_comm.resize(n_in);
-      st.in_present.resize(n_in);
+      check_width(n_in, degree, "Adj-RIB-In");
+      if (n_in != 0) flags |= kInSized;
     }
-    for (std::size_t i = 0; i < n_in; ++i) {
-      pools.path(io, st.in_path[i]);
-      pools.comm(io, st.in_comm[i]);
-      io.u8(st.in_present[i]);
+    for (std::uint32_t s = first; s < first + n_in; ++s) {
+      pools.path(io, r.in_path[s]);
+      pools.comm(io, r.in_comm[s]);
+      io.u8(r.in_present[s]);
     }
-    io.vec(st.in_hints, 9, [&](auto& e) { slot_hint_fields(io, e); });
+    side_fields(r.in_hints, 9, "Adj-RIB-In hint", hint_entry);
 
-    io.opt(st.best, [&](auto& rt) { route_fields(io, rt, pools); });
-    bool has_origin = st.origin != nullptr;
+    io.opt(r.best[me], [&](auto& rt) { route_fields(io, rt, pools); });
+    OriginState* origin = self.origin_of(r);
+    bool has_origin = origin != nullptr;
     io.b(has_origin);
     if (has_origin) {
-      if constexpr (Io::kReading) st.origin = std::make_unique<OriginState>();
-      policy_fields(io, st.origin->policy, pools);
-      pools.comm(io, st.origin->comm);
+      if constexpr (Io::kReading) origin = &self.add_origin(r);
+      policy_fields(io, origin->policy, pools);
+      pools.comm(io, origin->comm);
     }
-    pools.path(io, st.export_cache);
-    io.b(st.export_cache_valid);
+    pools.path(io, r.export_cache[me]);
+    bool export_valid = (flags & kExportValid) != 0;
+    io.b(export_valid);
+    if constexpr (Io::kReading) {
+      if (export_valid) flags |= kExportValid;
+    }
 
-    std::size_t n_out = st.out_tag.size();
+    std::size_t n_out = (flags & kOutSized) ? degree : 0;
     io.count(n_out, 9);
     if constexpr (Io::kReading) {
-      check_width(n_out, self.row_.degree, "Adj-RIB-Out");
-      st.out_tag.resize(n_out);
-      st.out_path.resize(n_out);
-      st.out_comm.resize(n_out);
+      check_width(n_out, degree, "Adj-RIB-Out");
+      if (n_out != 0) flags |= kOutSized;
     }
-    for (std::size_t i = 0; i < n_out; ++i) {
-      io.u8(st.out_tag[i]);
-      pools.path(io, st.out_path[i]);
-      pools.comm(io, st.out_comm[i]);
+    for (std::uint32_t s = first; s < first + n_out; ++s) {
+      io.u8(r.out_tag[s]);
+      pools.path(io, r.out_path[s]);
+      pools.comm(io, r.out_comm[s]);
     }
-    io.vec(st.out_hints, 9, [&](auto& e) { slot_hint_fields(io, e); });
+    side_fields(r.out_hints, 9, "Adj-RIB-Out hint", hint_entry);
 
-    io.vec(st.damping, 21, [&](auto& e) {
+    side_fields(r.damping, 21, "damping", [&](auto& e) {
       io.u32(e.first);
       io.f64(e.second.penalty);
       io.f64(e.second.last_update);
@@ -260,44 +293,50 @@ void BgpEngine::snapshot_fields(Io& io, Self& self) {
     }
   }
 
-  // MRAI tables in ascending prefix order.
-  using Table = std::conditional_t<std::is_const_v<Self>,
-                                   const std::vector<MraiState>,
-                                   std::vector<MraiState>>;
-  std::vector<std::pair<Prefix, Table*>> tables;
+  // Live MRAI rows in ascending prefix order.
+  std::vector<std::pair<Prefix, PrefixId>> rows;
   if constexpr (Io::kReading) {
-    self.mrai_.clear();
+    self.store_.clear_mrai();
   } else {
-    for (PrefixId pid = 0; pid < self.mrai_.size(); ++pid) {
-      if (!self.mrai_[pid].empty()) {
-        tables.emplace_back(self.prefixes_.prefix(pid), &self.mrai_[pid]);
+    for (PrefixId pid = 0; pid < self.store_.size(); ++pid) {
+      if (self.store_.at(pid).mrai_live) {
+        rows.emplace_back(self.store_.prefix(pid), pid);
       }
     }
-    std::sort(tables.begin(), tables.end(),
+    std::sort(rows.begin(), rows.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
   }
-  std::size_t n_tables = tables.size();
-  io.count(n_tables, 13);
-  for (std::size_t i = 0; i < n_tables; ++i) {
+  std::size_t n_rows = rows.size();
+  io.count(n_rows, 13);
+  for (std::size_t i = 0; i < n_rows; ++i) {
     Prefix prefix;
-    Table* table = nullptr;
-    if constexpr (!Io::kReading) std::tie(prefix, table) = tables[i];
+    PrefixId pid = kNoPrefixId;
+    if constexpr (!Io::kReading) std::tie(prefix, pid) = rows[i];
     prefix_fields(io, prefix);
+    if constexpr (Io::kReading) pid = self.store_.intern(prefix);
+    auto& rib = self.store_.at(pid);
+    std::size_t n = rib.mrai.size();
+    io.count(n, 17);
     if constexpr (Io::kReading) {
-      const PrefixId pid = self.prefixes_.intern(prefix);
-      if (pid >= self.mrai_.size()) self.mrai_.resize(pid + 1);
-      table = &self.mrai_[pid];
-    }
-    io.vec(*table, 17, [&](auto& ms) {
-      io.f64(ms.ready_at);
-      io.b(ms.flush_scheduled);
-      io.u32(ms.next_seq);
-      io.u32(ms.applied_seq);
-    });
-    if constexpr (Io::kReading) {
-      if (table->size() != self.sess_peer_.size()) {
+      if (n != self.sess_peer_.size()) {
         throw std::runtime_error("snapshot: MRAI table size mismatch "
                                  "(different topology?)");
+      }
+      rib.mrai_live = true;
+    }
+    for (auto& ms : rib.mrai) {
+      io.f64(ms.ready_at);
+      bool flush = ms.flush_scheduled;
+      io.b(flush);
+      std::uint32_t next_seq = ms.next_seq;
+      io.u32(next_seq);
+      io.u32(ms.applied_seq);
+      if constexpr (Io::kReading) {
+        if (next_seq >= (1u << 31)) {
+          throw std::runtime_error("snapshot: MRAI send counter out of range");
+        }
+        ms.flush_scheduled = flush;
+        ms.next_seq = next_seq;
       }
     }
   }

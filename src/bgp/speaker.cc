@@ -18,14 +18,21 @@ LearnedFrom learned_from_rel(topo::Rel rel) {
   return LearnedFrom::kProvider;
 }
 
-// Entry for `slot` in a sparse (slot, value) table sorted by slot, or null;
-// const-qualified like the table.
+// First entry of a sparse (key, value) table, sorted by key, whose key is
+// not below `key`.
 template <typename Table>
-auto sparse_at(Table& t, std::uint32_t slot) -> decltype(&t.begin()->second) {
-  const auto it = std::lower_bound(
-      t.begin(), t.end(), slot,
-      [](const auto& e, std::uint32_t s) { return e.first < s; });
-  if (it == t.end() || it->first != slot) return nullptr;
+auto lower_key(Table& t, std::uint32_t key) {
+  return std::lower_bound(
+      t.begin(), t.end(), key,
+      [](const auto& e, std::uint32_t k) { return e.first < k; });
+}
+
+// Entry for `key` in a sparse table, or null; const-qualified like the
+// table.
+template <typename Table>
+auto sparse_at(Table& t, std::uint32_t key) -> decltype(&t.begin()->second) {
+  const auto it = lower_key(t, key);
+  if (it == t.end() || it->first != key) return nullptr;
   return &it->second;
 }
 }  // namespace
@@ -33,7 +40,7 @@ auto sparse_at(Table& t, std::uint32_t slot) -> decltype(&t.begin()->second) {
 struct BgpSpeaker::Standalone {
   std::vector<AsId> peer;
   std::vector<topo::Rel> rel;
-  PrefixInterner prefixes;
+  RibStore store;
 };
 
 BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg)
@@ -48,14 +55,21 @@ BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg)
     own_->peer.push_back(n.id);
     own_->rel.push_back(n.rel);
   }
-  row_ = SessionRow{own_->peer.data(), own_->rel.data(),
-                    static_cast<std::uint32_t>(sorted.size())};
-  prefixes_ = &own_->prefixes;
+  const auto degree = static_cast<std::uint32_t>(sorted.size());
+  row_ = SessionRow{own_->peer.data(), own_->rel.data(), degree};
+  own_->store = RibStore(1, degree);
+  store_ = &own_->store;
 }
 
 BgpSpeaker::BgpSpeaker(AsId id, const topo::AsGraph& graph, SessionRow row,
-                       PrefixInterner& prefixes)
-    : id_(id), graph_(&graph), row_(row), prefixes_(&prefixes) {}
+                       RibStore& store, std::uint32_t index,
+                       std::uint32_t first)
+    : id_(id),
+      graph_(&graph),
+      row_(row),
+      store_(&store),
+      index_(index),
+      first_(first) {}
 
 BgpSpeaker::BgpSpeaker(BgpSpeaker&&) noexcept = default;
 BgpSpeaker& BgpSpeaker::operator=(BgpSpeaker&&) noexcept = default;
@@ -74,75 +88,76 @@ std::optional<topo::Rel> BgpSpeaker::rel_of(AsId neighbor) const {
   return row_.rel[slot];
 }
 
-void BgpSpeaker::ensure_in(PrefixState& st) const {
-  if (st.in_path.size() == row_.degree) return;  // fixed per speaker
-  st.in_path.resize(row_.degree);
-  st.in_comm.resize(row_.degree);
-  st.in_present.assign(row_.degree, 0);
+PrefixRib& BgpSpeaker::hold(PrefixId id) {
+  PrefixRib& r = store_->at(id);
+  if (!(r.flags[index_] & kHeld)) {
+    r.flags[index_] |= kHeld;
+    len_present_[store_->prefix(id).length()] = true;
+  }
+  return r;
 }
 
-void BgpSpeaker::ensure_out(PrefixState& st) const {
-  if (st.out_tag.size() == row_.degree) return;
-  st.out_tag.assign(row_.degree, kOutUnset);
-  st.out_path.resize(row_.degree);
-  st.out_comm.resize(row_.degree);
+OriginState* BgpSpeaker::origin_of(const PrefixRib& r) const noexcept {
+  const auto* o = sparse_at(r.origins, index_);
+  return o != nullptr ? o->get() : nullptr;
 }
 
-void BgpSpeaker::set_hint(HintTable& t, std::uint32_t slot,
-                          const std::optional<AvoidHint>& hint) {
-  const auto it = std::lower_bound(
-      t.begin(), t.end(), slot,
-      [](const auto& e, std::uint32_t s) { return e.first < s; });
-  const bool found = it != t.end() && it->first == slot;
+OriginState& BgpSpeaker::add_origin(PrefixRib& r) const {
+  const auto it = lower_key(r.origins, index_);
+  return *r.origins.insert(it, {index_, std::make_unique<OriginState>()})
+              ->second;
+}
+
+void BgpSpeaker::set_hint(std::vector<HintTable>& tables, std::uint32_t slot,
+                          const std::optional<AvoidHint>& hint) const {
+  HintTable* t = side(tables, hint.has_value());
+  if (t == nullptr) return;
+  const auto it = lower_key(*t, slot);
+  const bool found = it != t->end() && it->first == slot;
   if (hint) {
     if (found) {
       it->second = *hint;
     } else {
-      t.insert(it, {slot, *hint});
+      t->insert(it, {slot, *hint});
     }
   } else if (found) {
-    t.erase(it);
+    t->erase(it);
   }
-}
-
-BgpSpeaker::PrefixState& BgpSpeaker::state_for(PrefixId id) {
-  if (id >= states_.size()) states_.resize(id + 1);
-  std::unique_ptr<PrefixState>& st = states_[id];
-  if (!st) {
-    st = std::make_unique<PrefixState>();
-    len_present_[prefixes_->prefix(id).length()] = true;
-  }
-  return *st;
 }
 
 void BgpSpeaker::set_origin_policy(const Prefix& prefix, OriginPolicy policy) {
-  set_origin_policy(prefixes_->intern(prefix), std::move(policy));
+  set_origin_policy(store_->intern(prefix), std::move(policy));
 }
 
 void BgpSpeaker::set_origin_policy(PrefixId id, OriginPolicy policy) {
-  auto& st = state_for(id);
-  if (!st.origin) st.origin = std::make_unique<OriginState>();
-  st.origin->policy = std::move(policy);
+  PrefixRib& r = hold(id);
+  OriginState* origin = origin_of(r);
+  if (origin == nullptr) origin = &add_origin(r);
+  origin->policy = std::move(policy);
   // Intern the policy's community set once; every export shares the buffer.
-  st.origin->comm = CommunitiesRef(st.origin->policy.communities);
+  origin->comm = CommunitiesRef(origin->policy.communities);
 }
 
 void BgpSpeaker::clear_origin_policy(const Prefix& prefix) {
-  clear_origin_policy(prefixes_->find(prefix));
+  clear_origin_policy(store_->find(prefix));
 }
 
 void BgpSpeaker::clear_origin_policy(PrefixId id) {
-  if (auto* st = find_state(id)) st->origin.reset();
+  if (PrefixRib* r = held(id)) {
+    std::erase_if(r->origins,
+                  [&](const auto& e) { return e.first == index_; });
+  }
 }
 
 bool BgpSpeaker::originates(const Prefix& prefix) const {
-  const auto* st = find_state(prefix);
-  return st != nullptr && st->origin != nullptr;
+  const PrefixRib* r = held(prefix);
+  return r != nullptr && origin_of(*r) != nullptr;
 }
 
 const OriginPolicy* BgpSpeaker::origin_policy(const Prefix& prefix) const {
-  const auto* st = find_state(prefix);
-  return st != nullptr && st->origin ? &st->origin->policy : nullptr;
+  const PrefixRib* r = held(prefix);
+  const OriginState* origin = r != nullptr ? origin_of(*r) : nullptr;
+  return origin != nullptr ? &origin->policy : nullptr;
 }
 
 bool BgpSpeaker::import_acceptable(const UpdateMessage& msg,
@@ -217,7 +232,7 @@ void decay_penalty(double& penalty, double& last, double now,
 bool BgpSpeaker::process_update(const UpdateMessage& msg, double now) {
   const PrefixId id = msg.prefix_id != kNoPrefixId
                           ? msg.prefix_id
-                          : prefixes_->intern(msg.prefix);
+                          : store_->intern(msg.prefix);
   const std::uint32_t slot =
       msg.to_slot != kNoSlot ? msg.to_slot : slot_of(msg.from);
   return process_update(msg, id, slot, now);
@@ -225,15 +240,14 @@ bool BgpSpeaker::process_update(const UpdateMessage& msg, double now) {
 
 bool BgpSpeaker::process_update(const UpdateMessage& msg, PrefixId id,
                                 std::uint32_t slot, double now) {
-  auto& st = state_for(id);
+  PrefixRib& r = hold(id);
   if (slot == kNoSlot) return false;  // not adjacent: drop
 
   if (cfg_.damping_enabled) {
-    auto it = std::lower_bound(
-        st.damping.begin(), st.damping.end(), slot,
-        [](const auto& e, std::uint32_t s) { return e.first < s; });
-    if (it == st.damping.end() || it->first != slot) {
-      it = st.damping.insert(it, {slot, DampingState{}});
+    SlotTable<DampingState>& table = *side(r.damping, true);
+    auto it = lower_key(table, slot);
+    if (it == table.end() || it->first != slot) {
+      it = table.insert(it, {slot, DampingState{}});
     }
     DampingState& damping = it->second;
     decay_penalty(damping.penalty, damping.last_update, now,
@@ -244,51 +258,56 @@ bool BgpSpeaker::process_update(const UpdateMessage& msg, PrefixId id,
     }
   }
 
+  const std::uint32_t s = first_ + slot;
   if (msg.type == MsgType::kAnnounce && import_acceptable(msg, slot)) {
-    ensure_in(st);
-    st.in_path[slot] = msg.path;
-    st.in_comm[slot] = msg.communities;
-    st.in_present[slot] = 1;
-    set_hint(st.in_hints, slot, msg.avoid_hint);
+    r.flags[index_] |= kInSized;
+    r.in_path[s] = msg.path;
+    r.in_comm[s] = msg.communities;
+    r.in_present[s] = 1;
+    set_hint(r.in_hints, slot, msg.avoid_hint);
     if (msg.avoid_hint && msg.avoid_hint->as == id_) {
       ++avoid_notifications_;  // Notification property: we are the problem
     }
-  } else if (!st.in_path.empty() && st.in_present[slot] != 0) {
+  } else if (r.in_present[s] != 0) {
     // Withdrawal, or an announcement rejected by import policy: either way
     // the neighbor's previous route is no longer usable (BGP implicit
     // replacement semantics). Release the shared buffers with the slot.
-    st.in_present[slot] = 0;
-    st.in_path[slot] = PathRef();
-    st.in_comm[slot] = CommunitiesRef();
-    set_hint(st.in_hints, slot, std::nullopt);
+    r.in_present[s] = 0;
+    r.in_path[s] = PathRef();
+    r.in_comm[s] = CommunitiesRef();
+    set_hint(r.in_hints, slot, std::nullopt);
   }
-  return recompute_best(id, st);
+  return recompute_best(id, r);
 }
 
-bool BgpSpeaker::recompute_best(PrefixId id, PrefixState& st) {
+bool BgpSpeaker::recompute_best(PrefixId id, PrefixRib& r) {
   // AVOID_PROBLEM semantics: if any candidate carries a hint, routes whose
   // path hits the hinted AS/link form a lower tier — used only when no
   // clean route exists (Avoidance + Backup properties, §3). The hint table
   // is sorted by slot, so the canonical pick is the lowest-neighbor-id
   // carrier — the same choice the ReferenceBgp oracle makes.
+  const HintTable* hints = side(r.in_hints);
   const AvoidHint* hint = nullptr;
-  if (cfg_.honors_avoid_hints && !st.in_hints.empty()) {
-    hint = &st.in_hints.front().second;
+  if (cfg_.honors_avoid_hints && hints != nullptr && !hints->empty()) {
+    hint = &hints->front().second;
   }
-  const std::size_t n = st.in_path.size();
+  const SlotTable<DampingState>* damping =
+      cfg_.damping_enabled ? side(r.damping) : nullptr;
+  const PathRef* in_path = r.in_path.data() + first_;
+  const std::uint8_t* in_present = r.in_present.data() + first_;
   std::uint32_t win = kNoSlot;
   int win_pref = 0;
   std::size_t win_len = 0;
   bool win_flagged = false;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (st.in_present[s] == 0) continue;
-    if (cfg_.damping_enabled) {
-      const DampingState* d = sparse_at(st.damping, s);
+  for (std::uint32_t s = 0; s < row_.degree; ++s) {
+    if (in_present[s] == 0) continue;
+    if (damping != nullptr) {
+      const DampingState* d = sparse_at(*damping, s);
       if (d != nullptr && d->suppressed) continue;
     }
-    const bool flagged = hint && path_hits_avoid_hint(st.in_path[s], *hint);
+    const bool flagged = hint && path_hits_avoid_hint(in_path[s], *hint);
     const int pref = local_pref(learned_from_rel(row_.rel[s]));
-    const std::size_t len = st.in_path[s].size();
+    const std::size_t len = in_path[s].size();
     // Slots scan in ascending neighbor-id order and the comparisons are
     // strict, so ties keep the lowest neighbor — exactly better_route's
     // local-pref desc, path-len asc, neighbor-id asc total order.
@@ -302,59 +321,66 @@ bool BgpSpeaker::recompute_best(PrefixId id, PrefixState& st) {
     }
   }
 
+  std::optional<Route>& best = r.best[index_];
   bool changed;
   if (win == kNoSlot) {
-    changed = st.best.has_value();
-    if (changed) st.best.reset();
+    changed = best.has_value();
+    if (changed) best.reset();
   } else {
     const AsId nbr = row_.peer[win];
     const LearnedFrom learned = learned_from_rel(row_.rel[win]);
-    const AvoidHint* win_hint = sparse_at(st.in_hints, win);
-    changed =
-        !st.best || st.best->neighbor != nbr || st.best->learned != learned ||
-        !(st.best->path == st.in_path[win]) ||
-        !(st.best->communities == st.in_comm[win]) ||
-        st.best->avoid_hint.has_value() != (win_hint != nullptr) ||
-        (win_hint != nullptr && st.best->avoid_hint &&
-         !(*st.best->avoid_hint == *win_hint));
+    const PathRef& path = in_path[win];
+    const CommunitiesRef& comm = r.in_comm[first_ + win];
+    const AvoidHint* win_hint = hints != nullptr ? sparse_at(*hints, win)
+                                                 : nullptr;
+    changed = !best || best->neighbor != nbr || best->learned != learned ||
+              !(best->path == path) || !(best->communities == comm) ||
+              best->avoid_hint.has_value() != (win_hint != nullptr) ||
+              (win_hint != nullptr && best->avoid_hint &&
+               !(*best->avoid_hint == *win_hint));
     if (changed) {
-      Route r;
-      r.prefix = prefixes_->prefix(id);
-      r.path = st.in_path[win];
-      r.neighbor = nbr;
-      r.learned = learned;
-      r.communities = st.in_comm[win];
-      if (win_hint != nullptr) r.avoid_hint = *win_hint;
-      st.best = std::move(r);
+      Route route;
+      route.prefix = store_->prefix(id);
+      route.path = path;
+      route.neighbor = nbr;
+      route.learned = learned;
+      route.communities = comm;
+      if (win_hint != nullptr) route.avoid_hint = *win_hint;
+      best = std::move(route);
     }
   }
   // The cached self-prepended export path mirrors the Loc-RIB.
-  if (changed) st.export_cache_valid = false;
+  if (changed) r.flags[index_] &= ~kExportValid;
   return changed;
 }
 
 const Route* BgpSpeaker::best_route(const Prefix& prefix) const {
-  return best_route(prefixes_->find(prefix));
+  return best_route(store_->find(prefix));
 }
 
 const Route* BgpSpeaker::best_route(PrefixId id) const {
-  const auto* st = find_state(id);
-  return st != nullptr && st->best ? &*st->best : nullptr;
+  const PrefixRib* r = store_->find(id);
+  if (r == nullptr) return nullptr;
+  const std::optional<Route>& best = r->best[index_];
+  return best ? &*best : nullptr;
 }
 
 std::vector<Route> BgpSpeaker::rib_in(const Prefix& prefix) const {
   std::vector<Route> out;
-  if (const auto* st = find_state(prefix)) {
-    for (std::uint32_t s = 0; s < st->in_path.size(); ++s) {
-      if (st->in_present[s] == 0) continue;
-      Route r;
-      r.prefix = prefix;
-      r.path = st->in_path[s];
-      r.neighbor = row_.peer[s];
-      r.learned = learned_from_rel(row_.rel[s]);
-      r.communities = st->in_comm[s];
-      if (const AvoidHint* h = sparse_at(st->in_hints, s)) r.avoid_hint = *h;
-      out.push_back(std::move(r));
+  if (const PrefixRib* r = held(prefix)) {
+    const HintTable* hints = side(r->in_hints);
+    for (std::uint32_t s = 0; s < row_.degree; ++s) {
+      if (r->in_present[first_ + s] == 0) continue;
+      Route route;
+      route.prefix = prefix;
+      route.path = r->in_path[first_ + s];
+      route.neighbor = row_.peer[s];
+      route.learned = learned_from_rel(row_.rel[s]);
+      route.communities = r->in_comm[first_ + s];
+      if (hints != nullptr) {
+        if (const AvoidHint* h = sparse_at(*hints, s)) route.avoid_hint = *h;
+      }
+      out.push_back(std::move(route));
     }
     std::sort(out.begin(), out.end(), [](const Route& a, const Route& b) {
       return better_route(a, b);
@@ -367,20 +393,20 @@ FibResult BgpSpeaker::fib_lookup(topo::Ipv4 dst) const {
   for (int len = 32; len >= 0; --len) {
     if (!len_present_[len]) continue;
     const Prefix candidate(dst, static_cast<std::uint8_t>(len));
-    const auto* st = find_state(candidate);
-    if (st == nullptr) continue;
-    if (st->origin) {
+    const PrefixRib* r = held(candidate);
+    if (r == nullptr) continue;
+    if (origin_of(*r) != nullptr) {
       return FibResult{.has_route = true,
                        .local = true,
                        .via_default = false,
                        .next_hop = id_,
                        .matched = candidate};
     }
-    if (st->best) {
+    if (const std::optional<Route>& best = r->best[index_]) {
       return FibResult{.has_route = true,
                        .local = false,
                        .via_default = false,
-                       .next_hop = forced_egress_.value_or(st->best->neighbor),
+                       .next_hop = forced_egress_.value_or(best->neighbor),
                        .matched = candidate};
     }
     // State exists but no usable route: keep searching less specifics —
@@ -402,46 +428,47 @@ std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
     const Prefix& prefix, AsId neighbor) const {
   const std::uint32_t slot = slot_of(neighbor);
   if (slot == kNoSlot) return std::nullopt;
-  return export_path(prefixes_->find(prefix), slot);
+  return export_path(store_->find(prefix), slot);
 }
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::export_path(
     PrefixId id, std::uint32_t slot) const {
-  const auto* st = find_state(id);
-  if (st == nullptr) return std::nullopt;
+  // The export cache is logically const: the store is reached through a
+  // non-const pointer, so the lazy rebuild below needs no cast.
+  PrefixRib* r = store_->find(id);
+  if (r == nullptr || !(r->flags[index_] & kHeld)) return std::nullopt;
   const AsId neighbor = row_.peer[slot];
 
-  if (st->origin) {
-    const auto& path = st->origin->policy.path_for(neighbor);
+  if (const OriginState* origin = origin_of(*r)) {
+    const auto& path = origin->policy.path_for(neighbor);
     if (!path) return std::nullopt;
-    return ExportUnit{*path, st->origin->comm, st->origin->policy.avoid_hint};
+    return ExportUnit{*path, origin->comm, origin->policy.avoid_hint};
   }
 
-  if (!st->best) return std::nullopt;
-  const Route& best = *st->best;
-  if (best.neighbor == neighbor) return std::nullopt;  // split horizon
+  const std::optional<Route>& best = r->best[index_];
+  if (!best) return std::nullopt;
+  if (best->neighbor == neighbor) return std::nullopt;  // split horizon
   // Gao-Rexford: customer routes go to everyone; peer/provider routes only
   // to customers.
-  const bool allowed = best.learned == LearnedFrom::kCustomer ||
+  const bool allowed = best->learned == LearnedFrom::kCustomer ||
                        row_.rel[slot] == topo::Rel::kCustomer;
   if (!allowed) return std::nullopt;
   // Self-prepended Loc-RIB path, built once per best-route change and shared
   // by every neighbor export, the in-flight update, the receiver RIB, and
   // the Adj-RIB-Out slots (delta encoding: per-neighbor state is refs into
   // this unit, not copies).
-  if (!st->export_cache_valid) {
+  if (!(r->flags[index_] & kExportValid)) {
     AsPath prepended;
-    prepended.reserve(best.path.size() + 1);
+    prepended.reserve(best->path.size() + 1);
     prepended.push_back(id_);
-    prepended.insert(prepended.end(), best.path.begin(), best.path.end());
-    auto* mst = const_cast<PrefixState*>(st);
-    mst->export_cache = PathRef(std::move(prepended));
-    mst->export_cache_valid = true;
+    prepended.insert(prepended.end(), best->path.begin(), best->path.end());
+    r->export_cache[index_] = PathRef(std::move(prepended));
+    r->flags[index_] |= kExportValid;
   }
   ExportUnit out;
-  out.path = st->export_cache;
-  if (!cfg_.strips_communities) out.communities = best.communities;
-  out.avoid_hint = best.avoid_hint;  // signed hints survive end-to-end
+  out.path = r->export_cache[index_];
+  if (!cfg_.strips_communities) out.communities = best->communities;
+  out.avoid_hint = best->avoid_hint;  // signed hints survive end-to-end
   return out;
 }
 
@@ -449,38 +476,36 @@ BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(const Prefix& prefix,
                                                   AsId neighbor) const {
   const std::uint32_t slot = slot_of(neighbor);
   if (slot == kNoSlot) return AdjOutState::kNeverAdvertised;
-  return adj_out_state(prefixes_->find(prefix), slot);
+  return adj_out_state(store_->find(prefix), slot);
 }
 
 BgpSpeaker::AdjOutState BgpSpeaker::adj_out_state(PrefixId id,
                                                   std::uint32_t slot) const {
-  const auto* st = find_state(id);
-  if (st == nullptr || slot >= st->out_tag.size() ||
-      st->out_tag[slot] == kOutUnset) {
-    return AdjOutState::kNeverAdvertised;
-  }
-  return st->out_tag[slot] == kOutNone ? AdjOutState::kWithdrawn
-                                       : AdjOutState::kAdvertised;
+  const PrefixRib* r = store_->find(id);
+  if (r == nullptr) return AdjOutState::kNeverAdvertised;
+  const std::uint8_t tag = r->out_tag[first_ + slot];
+  if (tag == kOutUnset) return AdjOutState::kNeverAdvertised;
+  return tag == kOutNone ? AdjOutState::kWithdrawn : AdjOutState::kAdvertised;
 }
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
     const Prefix& prefix, AsId neighbor) const {
   const std::uint32_t slot = slot_of(neighbor);
   if (slot == kNoSlot) return std::nullopt;
-  return adj_out_unit(prefixes_->find(prefix), slot);
+  return adj_out_unit(store_->find(prefix), slot);
 }
 
 std::optional<BgpSpeaker::ExportUnit> BgpSpeaker::adj_out_unit(
     PrefixId id, std::uint32_t slot) const {
-  const auto* st = find_state(id);
-  if (st == nullptr || slot >= st->out_tag.size() ||
-      st->out_tag[slot] != kOutUnit) {
-    return std::nullopt;
-  }
+  const PrefixRib* r = store_->find(id);
+  const std::uint32_t s = first_ + slot;
+  if (r == nullptr || r->out_tag[s] != kOutUnit) return std::nullopt;
   ExportUnit out;
-  out.path = st->out_path[slot];
-  out.communities = st->out_comm[slot];
-  if (const AvoidHint* h = sparse_at(st->out_hints, slot)) out.avoid_hint = *h;
+  out.path = r->out_path[s];
+  out.communities = r->out_comm[s];
+  if (const HintTable* hints = side(r->out_hints)) {
+    if (const AvoidHint* h = sparse_at(*hints, slot)) out.avoid_hint = *h;
+  }
   return out;
 }
 
@@ -488,30 +513,33 @@ void BgpSpeaker::record_advertised(const Prefix& prefix, AsId neighbor,
                                    std::optional<ExportUnit> unit) {
   const std::uint32_t slot = slot_of(neighbor);
   if (slot == kNoSlot) return;  // engine only records for real sessions
-  record_advertised(prefixes_->intern(prefix), slot, std::move(unit));
+  record_advertised(store_->intern(prefix), slot, std::move(unit));
 }
 
 void BgpSpeaker::record_advertised(PrefixId id, std::uint32_t slot,
                                    std::optional<ExportUnit> unit) {
-  auto& st = state_for(id);
-  ensure_out(st);
+  PrefixRib& r = hold(id);
+  r.flags[index_] |= kOutSized;
+  const std::uint32_t s = first_ + slot;
   if (unit) {
-    st.out_tag[slot] = kOutUnit;
-    st.out_path[slot] = std::move(unit->path);
-    st.out_comm[slot] = std::move(unit->communities);
-    set_hint(st.out_hints, slot, unit->avoid_hint);
+    r.out_tag[s] = kOutUnit;
+    r.out_path[s] = std::move(unit->path);
+    r.out_comm[s] = std::move(unit->communities);
+    set_hint(r.out_hints, slot, unit->avoid_hint);
   } else {
-    st.out_tag[slot] = kOutNone;
-    st.out_path[slot] = PathRef();
-    st.out_comm[slot] = CommunitiesRef();
-    set_hint(st.out_hints, slot, std::nullopt);
+    r.out_tag[s] = kOutNone;
+    r.out_path[s] = PathRef();
+    r.out_comm[s] = CommunitiesRef();
+    set_hint(r.out_hints, slot, std::nullopt);
   }
 }
 
 std::vector<Prefix> BgpSpeaker::known_prefixes() const {
   std::vector<Prefix> out;
-  for (PrefixId id = 0; id < states_.size(); ++id) {
-    if (states_[id]) out.push_back(prefixes_->prefix(id));
+  for (PrefixId id = 0; id < store_->size(); ++id) {
+    if (store_->at(id).flags[index_] & kHeld) {
+      out.push_back(store_->prefix(id));
+    }
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -520,15 +548,16 @@ std::vector<Prefix> BgpSpeaker::known_prefixes() const {
 std::optional<double> BgpSpeaker::damping_reuse_delay(const Prefix& prefix,
                                                       AsId neighbor,
                                                       double now) const {
-  return damping_reuse_delay(prefixes_->find(prefix), slot_of(neighbor), now);
+  return damping_reuse_delay(store_->find(prefix), slot_of(neighbor), now);
 }
 
 std::optional<double> BgpSpeaker::damping_reuse_delay(PrefixId id,
                                                       std::uint32_t slot,
                                                       double now) const {
-  const auto* st = find_state(id);
-  if (st == nullptr) return std::nullopt;
-  const DampingState* d = sparse_at(st->damping, slot);
+  const PrefixRib* r = held(id);
+  const SlotTable<DampingState>* table =
+      r != nullptr ? side(r->damping) : nullptr;
+  const DampingState* d = table != nullptr ? sparse_at(*table, slot) : nullptr;
   if (d == nullptr || !d->suppressed) return std::nullopt;
   double penalty = d->penalty;
   double last = d->last_update;
@@ -540,25 +569,28 @@ std::optional<double> BgpSpeaker::damping_reuse_delay(PrefixId id,
 
 bool BgpSpeaker::recheck_damping(const Prefix& prefix, AsId neighbor,
                                  double now) {
-  return recheck_damping(prefixes_->find(prefix), slot_of(neighbor), now);
+  return recheck_damping(store_->find(prefix), slot_of(neighbor), now);
 }
 
 bool BgpSpeaker::recheck_damping(PrefixId id, std::uint32_t slot, double now) {
-  auto* st = find_state(id);
-  if (st == nullptr) return false;
-  DampingState* d = sparse_at(st->damping, slot);
+  PrefixRib* r = held(id);
+  SlotTable<DampingState>* table =
+      r != nullptr ? side(r->damping, false) : nullptr;
+  DampingState* d = table != nullptr ? sparse_at(*table, slot) : nullptr;
   if (d == nullptr || !d->suppressed) return false;
   decay_penalty(d->penalty, d->last_update, now,
                 cfg_.damping_half_life_seconds);
   if (d->penalty > cfg_.damping_reuse_threshold) return false;
   d->suppressed = false;
-  return recompute_best(id, *st);
+  return recompute_best(id, *r);
 }
 
 bool BgpSpeaker::is_suppressed(const Prefix& prefix, AsId neighbor) const {
-  const auto* st = find_state(prefix);
-  if (st == nullptr) return false;
-  const DampingState* d = sparse_at(st->damping, slot_of(neighbor));
+  const PrefixRib* r = held(prefix);
+  const SlotTable<DampingState>* table =
+      r != nullptr ? side(r->damping) : nullptr;
+  const DampingState* d =
+      table != nullptr ? sparse_at(*table, slot_of(neighbor)) : nullptr;
   return d != nullptr && d->suppressed;
 }
 
@@ -571,31 +603,21 @@ std::optional<AsId> BgpSpeaker::default_gateway() const {
 }
 
 BgpSpeaker::RibMemory BgpSpeaker::rib_memory() const {
-  // Structural bytes only: the session row and the prefix interner belong
-  // to the engine, which counts them once (BgpEngine::rib_memory).
+  // Counts over this speaker's row. An engine-attached speaker's bytes are
+  // its own object only: the engine counts its store, session CSR and
+  // interner once (BgpEngine::rib_memory).
+  const RibStore::Usage u =
+      store_->usage(index_, index_ + 1, first_, first_ + row_.degree);
   RibMemory m;
-  m.bytes += sizeof(*this);
-  m.bytes += states_.capacity() * sizeof(states_[0]);
-  for (const auto& stp : states_) {
-    if (!stp) continue;
-    const PrefixState& st = *stp;
-    ++m.prefixes;
-    m.bytes += sizeof(PrefixState);
-    if (st.origin) m.bytes += sizeof(OriginState);
-    m.bytes += st.in_path.capacity() * sizeof(PathRef) +
-               st.in_comm.capacity() * sizeof(CommunitiesRef) +
-               st.in_present.capacity() +
-               st.in_hints.capacity() * sizeof(HintTable::value_type);
-    m.bytes += st.out_tag.capacity() +
-               st.out_path.capacity() * sizeof(PathRef) +
-               st.out_comm.capacity() * sizeof(CommunitiesRef) +
-               st.out_hints.capacity() * sizeof(HintTable::value_type);
-    m.bytes += st.damping.capacity() * sizeof(DampingTable::value_type);
-    for (const std::uint8_t present : st.in_present) m.routes += present;
-    for (const std::uint8_t tag : st.out_tag) {
-      if (tag == kOutUnit) ++m.adj_out_slots;
-    }
+  m.bytes = sizeof(*this);
+  if (own_) {
+    m.bytes += sizeof(Standalone) + own_->store.memory_bytes() +
+               own_->peer.capacity() * sizeof(AsId) +
+               own_->rel.capacity() * sizeof(topo::Rel);
   }
+  m.routes = u.routes;
+  m.adj_out_slots = u.adj_out_slots;
+  m.prefixes = u.held;
   return m;
 }
 

@@ -7,23 +7,27 @@
 // withdrawal of whatever that neighbor previously advertised), so A and
 // everything captive behind it lose the route while other ASes route around.
 //
-// Storage layout: dense integer keys end to end.
-//  - Prefixes: per-prefix state is found by the engine-interned PrefixId
-//    (PrefixInterner), through a per-speaker vector indexed by id. The
-//    Prefix-keyed public methods make one interner lookup and then take the
-//    same id path the engine uses.
+// Storage layout: the speaker is a view. Its RIB lives in a prefix-major
+// RibStore (bgp/rib_store.h) that the engine owns: one PrefixRib per
+// engine-interned PrefixId, holding arrays over every directed session and
+// over every AS index. The speaker is its AS index, its row of the engine's
+// directed-session CSR (SessionRow) and a pointer to the store.
+//  - Prefixes: the Prefix-keyed public methods make one interner lookup and
+//    then take the same PrefixId path the engine uses.
 //  - Neighbors: a neighbor's *slot* is the rank of its AS id in this
-//    speaker's sorted adjacency. The speaker does not own that list: it
-//    reads its row of the engine's directed-session CSR (SessionRow), so
-//    neighbor ids and relationships are stored once per world. Updates from
-//    the engine carry the receiver's slot, so delivery does no search.
-//  - RIB tables: each prefix state is a struct of arrays over slots
-//    (Adj-RIB-In paths, interned communities, presence bits, Adj-RIB-Out
-//    tags). The learned-from tag is derived from the slot's relationship,
+//    speaker's sorted adjacency, and its session index is the row's first
+//    session plus the slot. Neighbor ids and relationships are stored once
+//    per world in the CSR. Updates from the engine carry the receiver's
+//    slot, so delivery does no search.
+//  - RIB tables: Adj-RIB-In paths, interned communities and presence bits,
+//    and Adj-RIB-Out tags and refs, are per-session entries of the prefix's
+//    record; the best route, the export cache and a flags byte are per-AS
+//    entries. The learned-from tag is derived from the slot's relationship,
 //    not stored. Iteration order is the ascending-neighbor-id order the
-//    decision process ties on. Avoid hints and damping state are rare, so
-//    they live in small sorted sparse side-tables.
-// See docs/TOPOLOGIES.md for the bytes/route model.
+//    decision process ties on. Avoid hints, damping state and origin
+//    policies are rare, so they live in sparse side-tables of the record.
+// A standalone speaker (tests, microbenchmarks) owns a one-row store. See
+// docs/TOPOLOGIES.md for the bytes/route model.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "bgp/rib_store.h"
 #include "bgp/types.h"
 #include "topology/as_graph.h"
 #include "topology/prefix.h"
@@ -114,12 +119,13 @@ struct FibResult {
 class BgpSpeaker {
  public:
   // Standalone speaker (tests, microbenchmarks): builds its own sorted
-  // neighbor row from `graph` and its own prefix interner.
+  // neighbor row from `graph` and its own one-row store.
   BgpSpeaker(AsId id, const topo::AsGraph& graph, SpeakerConfig cfg = {});
-  // Engine-attached speaker: reads `row` of the engine's session CSR and
-  // shares the engine's interner. Both must outlive the speaker.
+  // Engine-attached speaker: AS index `index` of the engine's `store`, whose
+  // sessions are `row` of the engine's CSR starting at session `first`.
+  // The row and the store must outlive the speaker.
   BgpSpeaker(AsId id, const topo::AsGraph& graph, SessionRow row,
-             PrefixInterner& prefixes);
+             RibStore& store, std::uint32_t index, std::uint32_t first);
   BgpSpeaker(BgpSpeaker&&) noexcept;
   BgpSpeaker& operator=(BgpSpeaker&&) noexcept;
   ~BgpSpeaker();
@@ -230,23 +236,25 @@ class BgpSpeaker {
     return avoid_notifications_;
   }
 
-  // Deterministic structural memory accounting: bytes held by this
-  // speaker's RIB containers (shared path/community buffers excluded — they
-  // are counted once per distinct buffer, not per holder) and resident
-  // route counts. Feeds the bytes/route headline of BM_RibMemory and
+  // Deterministic structural memory accounting: resident route counts over
+  // this speaker's row, and the bytes of the speaker itself plus, for a
+  // standalone speaker, its own store (an engine counts its store once, see
+  // BgpEngine::rib_memory). Shared path/community buffers are excluded —
+  // they are counted once per distinct buffer, not per holder. Feeds the bytes/route headline of BM_RibMemory and
   // bench/internet_scale; see docs/TOPOLOGIES.md for the model.
   struct RibMemory {
     std::size_t bytes = 0;          // container footprint in bytes
     std::size_t routes = 0;         // present Adj-RIB-In slots
     std::size_t adj_out_slots = 0;  // advertised Adj-RIB-Out slots
-    std::size_t prefixes = 0;       // prefix states held
+    std::size_t prefixes = 0;       // prefixes held
   };
   RibMemory rib_memory() const;
 
   // ---- Checkpoint/restore (implemented in bgp/snapshot.cc) ----
-  // Serialize / reinstate this speaker's complete RIB state: every prefix
-  // state (Adj-RIB-In SoA tables, best route, origin policy, export cache,
-  // Adj-RIB-Out tags, damping), the runtime-mutable config, the forced
+  // Serialize / reinstate this speaker's complete RIB state: every held
+  // prefix's row of the store (Adj-RIB-In and Adj-RIB-Out slots, hints,
+  // best route, origin policy, export cache, damping), the runtime-mutable
+  // config, the forced
   // egress, and the rejection counters. Shared path/community buffers are
   // interned engine-wide through `pools`, so a buffer held by many slots is
   // written once and the sharing survives the round trip.
@@ -273,59 +281,45 @@ class BgpSpeaker {
   std::uint32_t slot_of(AsId neighbor) const;
 
  private:
-  struct DampingState {
-    double penalty = 0.0;
-    double last_update = 0.0;
-    bool suppressed = false;
-  };
-  // Sparse (slot, value) side-tables, ascending by slot. Hints are attached
-  // to a small minority of routes and damping state exists only with
-  // damping on, so neither widens the dense arrays.
-  using HintTable = std::vector<std::pair<std::uint32_t, AvoidHint>>;
-  using DampingTable = std::vector<std::pair<std::uint32_t, DampingState>>;
+  using HintTable = SlotTable<AvoidHint>;
 
-  struct OriginState {
-    OriginPolicy policy;
-    // Interned copy of policy.communities, built once at set_origin_policy
-    // so export_path never re-allocates it.
-    CommunitiesRef comm;
-  };
-
-  struct PrefixState {
-    // ---- Adj-RIB-In, struct-of-arrays over neighbor slots. Sized lazily
-    // on the first accepted import (origin-only states stay empty).
-    std::vector<PathRef> in_path;
-    std::vector<CommunitiesRef> in_comm;
-    std::vector<std::uint8_t> in_present;
-    HintTable in_hints;  // entries only for present slots carrying a hint
-
-    std::optional<Route> best;
-    std::unique_ptr<OriginState> origin;  // only at the originating AS
-
-    // Cached self-prepended Loc-RIB export path, shared by every neighbor
-    // this route is advertised to. Invalidated on best-route change.
-    PathRef export_cache;
-    bool export_cache_valid = false;
-
-    // ---- Adj-RIB-Out delta encoding, struct-of-arrays over neighbor
-    // slots: a tag byte (AdjOutTag) plus path/communities refs that alias
-    // the shared export unit. Sized lazily on the first record.
-    std::vector<std::uint8_t> out_tag;
-    std::vector<PathRef> out_path;
-    std::vector<CommunitiesRef> out_comm;
-    HintTable out_hints;
-
-    DampingTable damping;
-  };
-  enum AdjOutTag : std::uint8_t { kOutUnset = 0, kOutNone = 1, kOutUnit = 2 };
-
-  // Storage of a standalone speaker's session row and interner.
+  // A standalone speaker's own session row and one-row store.
   struct Standalone;
 
-  void ensure_in(PrefixState& st) const;
-  void ensure_out(PrefixState& st) const;
-  static void set_hint(HintTable& t, std::uint32_t slot,
-                       const std::optional<AvoidHint>& hint);
+  // The prefix's record with this AS marked as holding it.
+  PrefixRib& hold(PrefixId id);
+  // The prefix's record if this AS holds it, else null.
+  const PrefixRib* held(PrefixId id) const noexcept {
+    const PrefixRib* r = store_->find(id);
+    return r != nullptr && (r->flags[index_] & kHeld) ? r : nullptr;
+  }
+  PrefixRib* held(PrefixId id) noexcept {
+    PrefixRib* r = store_->find(id);
+    return r != nullptr && (r->flags[index_] & kHeld) ? r : nullptr;
+  }
+  const PrefixRib* held(const Prefix& prefix) const {
+    return held(store_->find(prefix));
+  }
+  // This AS's origin state in `r`, or null; add_origin inserts an empty one
+  // (there must be none yet).
+  OriginState* origin_of(const PrefixRib& r) const noexcept;
+  OriginState& add_origin(PrefixRib& r) const;
+  // This AS's table in a per-AS side-table vector; null when the vector is
+  // unallocated, unless `create` allocates it.
+  template <typename T>
+  SlotTable<T>* side(std::vector<SlotTable<T>>& tables, bool create) const {
+    if (tables.empty()) {
+      if (!create) return nullptr;
+      tables.resize(store_->num_ases());
+    }
+    return &tables[index_];
+  }
+  template <typename T>
+  const SlotTable<T>* side(const std::vector<SlotTable<T>>& tables) const {
+    return tables.empty() ? nullptr : &tables[index_];
+  }
+  void set_hint(std::vector<HintTable>& tables, std::uint32_t slot,
+                const std::optional<AvoidHint>& hint) const;
 
   // The field list behind save_snapshot/load_snapshot (bgp/snapshot.cc);
   // Self is const BgpSpeaker on save.
@@ -333,29 +327,17 @@ class BgpSpeaker {
   static void snapshot_fields(Io& io, Self& self, Pools& pools);
 
   // Returns true if best changed.
-  bool recompute_best(PrefixId id, PrefixState& st);
+  bool recompute_best(PrefixId id, PrefixRib& r);
   bool import_acceptable(const UpdateMessage& msg, std::uint32_t slot);
-  PrefixState& state_for(PrefixId id);
-  const PrefixState* find_state(PrefixId id) const noexcept {
-    return id < states_.size() ? states_[id].get() : nullptr;
-  }
-  PrefixState* find_state(PrefixId id) noexcept {
-    return id < states_.size() ? states_[id].get() : nullptr;
-  }
-  const PrefixState* find_state(const Prefix& prefix) const {
-    return find_state(prefixes_->find(prefix));
-  }
 
   AsId id_;
   const topo::AsGraph* graph_;
   SpeakerConfig cfg_;
   std::unique_ptr<Standalone> own_;  // null when engine-attached
   SessionRow row_;
-  PrefixInterner* prefixes_;
-  // Per-prefix state indexed by PrefixId; null where this speaker holds no
-  // state. One allocation per held prefix, so a Route* stays valid while
-  // other prefixes are added.
-  std::vector<std::unique_ptr<PrefixState>> states_;
+  RibStore* store_;
+  std::uint32_t index_ = 0;  // AS index in the store
+  std::uint32_t first_ = 0;  // session index of slot 0
   std::optional<AsId> forced_egress_;
   bool len_present_[33] = {};
   const std::vector<AsId>* locked_ases_ = nullptr;

@@ -31,9 +31,9 @@ inline constexpr PrefixId kNoPrefixId = 0xffffffffu;
 inline constexpr std::uint32_t kNoSlot = 0xffffffffu;
 
 // Interns each Prefix once into a dense PrefixId, so every per-prefix table
-// on the BGP hot path (speaker RIB state, MRAI tables, frontier touch lists)
-// is a plain vector index instead of a Prefix hash lookup. The engine owns
-// one interner and interns a prefix the first time it is originated or
+// on the BGP hot path (the RibStore record, frontier touch lists) is a
+// plain vector index instead of a Prefix hash lookup. The engine's RibStore
+// owns one interner and interns a prefix the first time it is originated or
 // withdrawn; the Prefix-keyed public API makes one find() at the boundary.
 //
 // Ids are internal indices only: nothing observable iterates in id order,

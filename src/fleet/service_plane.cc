@@ -684,6 +684,22 @@ class ServicePlane {
   obs::Distribution* d_ttr_;
 };
 
+// A shard blob's header: section tag and version, then the shard index and
+// seed the blob was cut from. A load checks them against the shard's own.
+template <typename Io>
+void shard_header(Io& io, std::uint64_t index, std::uint64_t seed) {
+  io.magic(kShardTag, kVersion);
+  std::uint64_t blob_shard = index;
+  std::uint64_t blob_seed = seed;
+  io.u64(blob_shard);
+  io.u64(blob_seed);
+  if (blob_shard != index || blob_seed != seed) {
+    throw std::runtime_error(
+        "service checkpoint: shard/seed mismatch (wrong blob for this "
+        "shard?)");
+  }
+}
+
 // One shard's checkpoint. Sections are applied in this order, with the
 // observability registries LAST so nothing the restore path itself does
 // leaks into the restored metric values. Plane is const ServicePlane on
@@ -691,16 +707,7 @@ class ServicePlane {
 template <typename Io, typename Plane>
 void shard_fields(Io& io, Shard& shard, Plane& plane) {
   workload::SimWorld& world = shard.world;
-  io.magic(kShardTag, kVersion);
-  std::uint64_t blob_shard = shard.index;
-  std::uint64_t blob_seed = shard.seed;
-  io.u64(blob_shard);
-  io.u64(blob_seed);
-  if (blob_shard != shard.index || blob_seed != shard.seed) {
-    throw std::runtime_error(
-        "service checkpoint: shard/seed mismatch (wrong blob for this "
-        "shard?)");
-  }
+  shard_header(io, shard.index, shard.seed);
   util::Scheduler::State ss = world.scheduler().save_state();
   io.f64(ss.now);
   io.u64(ss.executed);
@@ -772,6 +779,12 @@ ServiceConfig ServiceConfig::from_env(ServiceConfig base) {
 ServiceShardReport run_service_shard(const ServiceConfig& cfg,
                                      std::size_t index, std::uint64_t seed,
                                      const ServiceRun& run) {
+  if (run.restore_blob != nullptr) {
+    // A foreign or stale blob is rejected at its header, before the world
+    // build below.
+    util::BinReader header(*run.restore_blob);
+    shard_header(header, index, seed);
+  }
   // Remediation pacing is the announcement budget's job; a 30 s MRAI would
   // advance the clock past several service ticks on every converge.
   Shard shard(cfg, index, seed, /*default_mrai=*/0.0);
